@@ -13,6 +13,9 @@ Recorded metrics (events or packets per second, higher is better):
 * ``kernel_events_per_sec``       -- plain tuple-heap event chain
 * ``cancellable_events_per_sec``  -- handle-based (cancellable) chain
 * ``trace_replay_packets_per_sec`` -- TraceSource -> WTP link replay
+* ``monitored_replay_packets_per_sec`` -- the paper's Study A replay
+  (``replay_through_scheduler``, DelayMonitor attached) under wtp, bpr
+  and drr: the monitored fused drain's guarded workload
 * ``wtp_forwarded_packets_per_sec`` -- single WTP link forwarding in
   the session's packet representation (columnar unless
   ``--object-packets``)
@@ -100,6 +103,8 @@ import bench_sources  # noqa: E402
 import bench_sweep  # noqa: E402
 from bench_engine import (  # noqa: E402
     forward_packets,
+    paper_replay_cell,
+    replay_monitored,
     replay_trace,
     run_cancellable_events,
     run_fanin_cell,
@@ -144,6 +149,7 @@ def collect(repeats: int, object_packets: bool = False) -> dict:
 
     kernel_events = 100_000
     trace_packets = 50_000
+    paper = paper_replay_cell()
     sweep_runs = 4
     metrics = {
         "kernel_events_per_sec": best_rate(
@@ -154,6 +160,9 @@ def collect(repeats: int, object_packets: bool = False) -> dict:
         ),
         "trace_replay_packets_per_sec": best_rate(
             replay_trace, trace_packets, trace_packets, repeats
+        ),
+        "monitored_replay_packets_per_sec": best_rate(
+            replay_monitored, paper, replay_monitored(paper), repeats
         ),
         "wtp_forwarded_packets_per_sec": best_rate(
             forward_packets, "wtp", forward_packets("wtp"), repeats

@@ -121,30 +121,35 @@ nothing observes.  Fused arrivals enter the scheduler's
 :class:`~repro.sim.queues.ClassQueueSet` as flat per-class column
 entries ``(arrived_at, size, meta)`` -- ``meta`` being an ``int``
 packet id or a ``(packet_id, flow_id, created_at, hop_history)`` tuple
--- and stock schedulers select straight off the maintained
-``head_arrivals`` timestamps, so a packet can traverse queueing,
-selection, transmission, chain hand-off, and the departure counters as
-three scalars that never exist as an object.  A real ``Packet`` is
-built (:func:`~repro.sim.queues.materialize_entry`, bit-identical to
-the one the evented path would carry) only at an observation boundary:
+-- and are selected off the maintained ``head_arrivals`` timestamps,
+so a packet can traverse queueing, selection, transmission, chain
+hand-off, and the departure counters as three scalars that never exist
+as an object.  Stock schedulers select inline; a hook-overriding one
+(bpr/hpd/pad/drr/scfq/adaptive-wtp) runs columnar through its
+oracle-verified :mod:`repro.schedulers.draingen` body, on a single
+link and inside a chain alike.  A real ``Packet`` is built
+(:func:`~repro.sim.queues.materialize_entry`, bit-identical to the one
+the evented path would carry) only at an observation boundary:
 
 * a sink that retains packets (``keep_packets``) or any non-``Link``
-  receiver (``FlowRecorder``, custom sinks) at departure,
-* a monitor tap (monitors force the generic drain loop / object-mode
-  chain members, whose selects materialize on pop),
+  receiver (``FlowRecorder``, custom sinks) at departure; a single
+  link whose target is not a bare ``PacketSink`` -- read at every
+  drain entry, so rebinding ``Link.target`` counts -- takes the
+  generic loop,
+* a monitor the fused loop cannot fold.  A single link folds one
+  :class:`~repro.sim.monitor.DelayMonitor` inline (the float ops of
+  ``ClassDelayStats.add``); any other monitor type, a second monitor,
+  or a monitor on a chain member forces the generic drain loop /
+  object-mode chain members, whose selects materialize on pop,
 * a drop policy or bounded buffer (columns never form: those links
   fail ``_fast_ok`` and are excluded from chains),
 * the invariant checker (attach demotes every column to objects, and
   the hook fallback in :meth:`Link._complete_service` demotes as a
   safety net),
-* a hook-overriding scheduler *without* a verified generated drain
-  body (bpr/hpd/pad/drr/wfq/adaptive-wtp are non-stock; inside a
-  fused chain each runs columnar through its
-  :mod:`repro.schedulers.draingen` body when its exact class verified,
-  but a subclass, a failed verification, or a single unfused link
-  never receives columnar pushes, and
-  ``ClassQueueSet.pop``/``head``/``heads`` materialize transparently
-  for any residue),
+* a hook-overriding scheduler *without* a verified generated body (a
+  subclass, a failed verification, ``columnar=False``): it keeps the
+  wrapper-based generic loop, which demotes any column residue, and
+  ``ClassQueueSet.pop``/``head``/``heads`` materialize transparently,
 * a park (the pending completion must become a real calendar event
   payload; queued columns stay columnar across parks).
 
@@ -158,12 +163,13 @@ scheduler, plus mid-run materialization boundaries).
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heapify, heappop, heappush, heappushpop, heapreplace
 from math import inf
 from typing import Optional, Protocol, Sequence, TYPE_CHECKING
 
 from ..errors import ConfigurationError, SchedulingError
 from .engine import Simulator
+from .monitor import DelayMonitor
 from .packet import Packet
 from .queues import materialize_entry
 
@@ -278,7 +284,7 @@ class _ChainLink:
         #: True when the scheduler uses the stock enqueue/select
         #: wrappers with no hook overrides, so their bodies (queue
         #: push/pop, no-op hooks) are inlined verbatim -- the same
-        #: criterion and inlining as the link's _fast_ok drain loops.
+        #: criterion and inlining as the link's fused drain loop.
         self.stock = stock
         self.choose = scheduler.choose_class
         self.qlist = queues.queues
@@ -800,12 +806,8 @@ class Link:
         #: cache is cleared (forcing recomputation) whenever a feeder
         #: or cursor attaches, a checker detaches, or routes change.
         self._chain_fuse = False
-        # A link qualifies for the specialized drain loops when nothing
-        # can observe intermediate per-packet state: a bare PacketSink
-        # target, no buffer management, and a scheduler that uses the
-        # stock enqueue/select wrappers with no hook overrides (so the
-        # wrapper calls can be inlined verbatim).  Monitors are checked
-        # at dispatch time since they may be attached later.
+        # Stock schedulers use the base enqueue/select wrappers with no
+        # hook overrides, so the fused loop inlines the wrapper calls.
         from ..schedulers.base import Scheduler  # deferred: import cycle
 
         scheduler_cls = type(scheduler)
@@ -815,12 +817,6 @@ class Link:
             and scheduler_cls.on_enqueue is Scheduler.on_enqueue
             and scheduler_cls.on_select is Scheduler.on_select
             and scheduler_cls.on_departure is Scheduler.on_departure
-        )
-        self._fast_ok = (
-            drop_policy is None
-            and buffer_packets is None
-            and type(self._target) is PacketSink
-            and self._stock_sched
         )
 
         self.busy = False
@@ -850,6 +846,19 @@ class Link:
         self._target = value
         self._chain_cache = None
         self.sim._topo_version += 1
+
+    @property
+    def _fast_ok(self) -> bool:
+        """Whether the fused loop may own this link's departures: no
+        buffer management and a bare :class:`PacketSink` target.  Read
+        at every drain entry, so a target rebound after construction
+        is honoured (monitors and the scheduler are checked there too).
+        """
+        return (
+            self.drop_policy is None
+            and self.buffer_packets is None
+            and type(self._target) is PacketSink
+        )
 
     # ------------------------------------------------------------------
     def add_monitor(self, monitor) -> None:
@@ -1096,26 +1105,42 @@ class Link:
                 )
             if self._chain_fuse and self._drain_chain(packet, chain):
                 return
+        feeders = self._feeders
+        monitors = self.monitors
+        if (
+            feeders
+            and self._fast_ok
+            and (
+                not monitors
+                or (len(monitors) == 1 and type(monitors[0]) is DelayMonitor)
+            )
+        ):
+            # Fused loop: only a bare sink and a foldable DelayMonitor
+            # observe departures.  Stock wrappers are inlined; other
+            # schedulers need a verified generated body and columns.
+            colmode = self.columnar and all(
+                hasattr(f, "pull_col") for f in feeders
+            )
+            if self._stock_sched:
+                self._drain_fused(packet, colmode, None, None, monitors)
+                return
+            if colmode:
+                from ..schedulers.draingen import generated_drain_pair
+
+                pair = generated_drain_pair(scheduler)
+                if pair is not None:
+                    self._drain_fused(packet, True, *pair, monitors)
+                    return
         if not self._stock_sched and scheduler.queues.col_count:
             # Generated-body columns are only readable by the generated
-            # select; any residue crossing into the wrapper-based paths
+            # select; any residue crossing into the wrapper-based loop
             # below (whose choose_class sees deques via the live
             # wrappers) is an observation boundary -- demote it.
             scheduler.queues.demote()
-        feeders = self._feeders
-        if self._fast_ok and feeders and not self.monitors:
-            # Specialized loops: nothing observes per-packet state, so
-            # the scheduler wrappers and sink dispatch are inlined.
-            if len(feeders) == 1:
-                self._drain_fused_single(packet, feeders[0])
-            else:
-                self._drain_fused_multi(packet)
-            return
         heap = sim._heap
         until = sim._run_until
         capacity = self.capacity
         queues = scheduler.queues
-        monitors = self.monitors
         target = self.target
         select = scheduler.select
         on_departure = scheduler.on_departure
@@ -1232,28 +1257,37 @@ class Link:
                     sim._seq = s_c + 1
                 feeder.advance(t_a)
 
-    def _drain_fused_single(self, packet: Packet, feeder) -> None:
-        """Drain loop specialized for exactly one fused feeder.
+    def _drain_fused(
+        self, packet: Packet, colmode: bool, gsel, genq, monitors
+    ) -> None:
+        """Fused busy-period drain for one or more fused feeders.
 
-        Only runs when ``_fast_ok`` holds and no monitors are attached:
-        per-packet state is then unobservable between events, so the
-        plain scheduler's ``enqueue``/``select`` wrappers (whose hooks
-        are the base no-ops) and the bare :class:`PacketSink` dispatch
-        are inlined verbatim -- float expressions and mutation order
-        are kept identical to the evented path, only the Python call
-        layers disappear.
+        Runs only while per-packet state is unobservable but for a bare
+        :class:`PacketSink` and at most one :class:`DelayMonitor` (see
+        :meth:`_complete_service`).  A stock scheduler's
+        ``enqueue``/``select`` wrappers (base no-op hooks) are inlined
+        verbatim; any other scheduler runs its oracle-verified generated
+        body ``gsel``/``genq`` (:mod:`repro.schedulers.draingen`), in
+        ``colmode`` only.  The monitor is folded in: its
+        :class:`ClassDelayStats` are updated at each departure with the
+        float ops, order and warm-up test of
+        :meth:`DelayMonitor.on_departure`.  Float expressions, mutation
+        order and sequence reservations are those of the evented path;
+        only the Python call layers disappear.
 
-        With ``columnar`` on (and the feeder implementing ``pull_col``,
-        which implies a ``flow_id`` attribute), arrivals enter the
-        per-class columns as ``(arrived_at, size, meta)`` scalars and
-        are selected, transmitted, and counted without ever existing as
-        objects; a real :class:`Packet` is materialized only when the
-        sink keeps packets (at departure, fully stamped) or at a park
-        (the pending completion becomes a calendar event payload).
-        Link counters accumulate in locals and are published in the
-        ``finally`` block, which runs on every park/idle exit (and on
-        errors), so externally-visible state is consistent whenever
-        control is back in the run loop.
+        In ``colmode`` (columnar link, every feeder implements
+        ``pull_col``) arrivals enter the per-class columns as
+        ``(arrived_at, size, meta)`` scalars and are selected,
+        transmitted and counted without ever existing as objects; a
+        real :class:`Packet` is materialized only when the sink keeps
+        packets (at departure, fully stamped) or at a park (the pending
+        completion becomes a calendar payload).  The earliest pending
+        feeder arrival ``(ft, fs, feeder)`` lives in locals, the others
+        in a local min-heap keyed like the calendar (seqs are unique,
+        so feeders never compare).  Link counters accumulate in locals
+        and are published in the ``finally`` block, so externally
+        visible state is consistent whenever control is back in the
+        run loop.
         """
         sim = self.sim
         heap = sim._heap
@@ -1268,20 +1302,36 @@ class Link:
         heads = queues.head_arrivals
         backlog_bytes = queues.bytes_backlog
         num_classes = queues.num_classes
-        target = self.target
+        target = self._target
         keep = target.keep_packets
         kept = target.packets
+        feeders = self._feeders
         complete = self._complete_service
-        pull = feeder.pull
-        pull_col = (
-            getattr(feeder, "pull_col", None) if self.columnar else None
-        )
-        colmode = pull_col is not None
-        fid = feeder.flow_id if colmode else None
-        advance = feeder.advance
+        # No monitor: an infinite warm-up keeps every departure out.
+        warmup = inf
+        if monitors:
+            monitor = monitors[0]
+            warmup = monitor.warmup
+            mstats = monitor.stats
+            samples = monitor._samples if monitor.keep_samples else None
+        if not colmode and queues.col_count:
+            # Object pushes below assume no live column tails.
+            queues.demote()
+        fheap = [
+            (f.next_time, f.next_seq, f)
+            for f in feeders
+            if f.next_time is not None
+        ]
+        ft = None
+        fs = 0
+        if fheap:
+            heapify(fheap)
+            ft, fs, feeder = heappop(fheap)
+            # The current feeder's pull and flow tag, rebound whenever
+            # another feeder becomes the earliest.
+            pull = feeder.pull_col if colmode else feeder.pull
+            fid = feeder.flow_id if colmode else None
         now = sim.now
-        ft = feeder.next_time
-        fs = feeder.next_seq
         total = queues.total_packets
         ccount = queues.col_count
         # Departing-service scalars (the completion being handled) and
@@ -1292,20 +1342,30 @@ class Link:
         dsize = packet.size
         dstart = packet.service_start
         smeta = None
-        scid = 0
-        sarr = 0.0
-        ssize = 0.0
-        sstart = 0.0
-        arrivals = 0
-        departures = 0
+        scid = s_c = 0
+        sarr = ssize = sstart = t_c = 0.0
+        arrivals = departures = received = 0
         nbytes = 0.0
-        received = 0
+        parked = False
         try:
             while True:
                 # -- departure of the in-service packet at `now`
                 departures += 1
                 nbytes += dsize
                 received += 1
+                if now >= warmup:
+                    # inline DelayMonitor.on_departure + ClassDelayStats.add
+                    delay = dstart - darr
+                    st = mstats[dcid]
+                    st.count += 1
+                    st.total += delay
+                    st.total_sq += delay * delay
+                    if delay < st.min:
+                        st.min = delay
+                    if delay > st.max:
+                        st.max = delay
+                    if samples is not None:
+                        samples[dcid].append(delay)
                 if keep:
                     if type(dmeta) is Packet:
                         p = dmeta
@@ -1317,52 +1377,58 @@ class Link:
                     kept.append(p)
                 smeta = None
                 if total:
-                    # inline Scheduler.select + the hybrid
-                    # ClassQueueSet.pop; the packet count is kept in a
-                    # local -- publish it before choose_class so
-                    # scheduler code sees a consistent queue set.
+                    # The packet count is kept in a local -- publish it
+                    # before scheduler code sees the queue set.
                     queues.total_packets = total
-                    cid = choose(now)
-                    queue = qlist[cid]
-                    if queue:
-                        nxt = queue.popleft()
-                        ssize = nxt.size
+                    if gsel is not None:
+                        queues.col_count = ccount
+                        smeta, scid, sarr, ssize = gsel(now)
+                        total = queues.total_packets
+                        ccount = queues.col_count
+                    else:
+                        # inline Scheduler.select + the hybrid
+                        # ClassQueueSet.pop
+                        cid = choose(now)
+                        queue = qlist[cid]
                         if queue:
-                            backlog_bytes[cid] -= ssize
-                            heads[cid] = queue[0].arrived_at
+                            nxt = queue.popleft()
+                            ssize = nxt.size
+                            if queue:
+                                backlog_bytes[cid] -= ssize
+                                heads[cid] = queue[0].arrived_at
+                            else:
+                                col = cols[cid]
+                                h = cheads[cid]
+                                if h < len(col):
+                                    backlog_bytes[cid] -= ssize
+                                    heads[cid] = col[h]
+                                else:
+                                    backlog_bytes[cid] = 0.0
+                                    heads[cid] = inf
+                            smeta = nxt
+                            sarr = nxt.arrived_at
                         else:
                             col = cols[cid]
                             h = cheads[cid]
-                            if h < len(col):
-                                backlog_bytes[cid] -= ssize
-                                heads[cid] = col[h]
-                            else:
+                            sarr = col[h]
+                            ssize = col[h + 1]
+                            smeta = col[h + 2]
+                            h += 3
+                            ccount -= 1
+                            if h == len(col):
+                                col.clear()
+                                cheads[cid] = 0
                                 backlog_bytes[cid] = 0.0
                                 heads[cid] = inf
-                        smeta = nxt
-                        sarr = nxt.arrived_at
-                    else:
-                        col = cols[cid]
-                        h = cheads[cid]
-                        sarr = col[h]
-                        ssize = col[h + 1]
-                        smeta = col[h + 2]
-                        h += 3
-                        ccount -= 1
-                        if h == len(col):
-                            col.clear()
-                            cheads[cid] = 0
-                            backlog_bytes[cid] = 0.0
-                            heads[cid] = inf
-                        else:
-                            if h >= _COL_COMPACT:
-                                del col[:h]
-                                h = 0
-                            cheads[cid] = h
-                            backlog_bytes[cid] -= ssize
-                            heads[cid] = col[h]
-                    scid = cid
-                    total -= 1
+                            else:
+                                if h >= _COL_COMPACT:
+                                    del col[:h]
+                                    h = 0
+                                cheads[cid] = h
+                                backlog_bytes[cid] -= ssize
+                                heads[cid] = col[h]
+                        scid = cid
+                        total -= 1
                     sstart = now
                     t_c = now + ssize / capacity
                     s_c = sim._seq
@@ -1377,7 +1443,7 @@ class Link:
                         and (t_c < ft or (t_c == ft and s_c < fs))
                     ):
                         if smeta is None:
-                            return  # idle, feeder exhausted for now
+                            return  # idle, every feeder exhausted
                         if t_c > until or (
                             heap
                             and (
@@ -1385,13 +1451,7 @@ class Link:
                                 or (heap[0][0] == t_c and heap[0][1] < s_c)
                             )
                         ):
-                            feeder.park(heap)
-                            if type(smeta) is not Packet:
-                                smeta = materialize_entry(
-                                    scid, sarr, ssize, smeta
-                                )
-                            smeta.service_start = sstart
-                            heappush(heap, (t_c, s_c, complete, smeta))
+                            parked = True
                             return
                         now = t_c
                         dmeta = smeta
@@ -1401,41 +1461,29 @@ class Link:
                         dstart = sstart
                         break
                     if ft > until:
-                        feeder.park(heap)
-                        if smeta is not None:
-                            if type(smeta) is not Packet:
-                                smeta = materialize_entry(
-                                    scid, sarr, ssize, smeta
-                                )
-                            smeta.service_start = sstart
-                            heappush(heap, (t_c, s_c, complete, smeta))
+                        parked = True
                         return
                     if heap:
                         head = heap[0]
                         ht = head[0]
                         if ht < ft or (ht == ft and head[1] < fs):
-                            feeder.park(heap)
-                            if smeta is not None:
-                                if type(smeta) is not Packet:
-                                    smeta = materialize_entry(
-                                        scid, sarr, ssize, smeta
-                                    )
-                                smeta.service_start = sstart
-                                heappush(heap, (t_c, s_c, complete, smeta))
+                            parked = True
                             return
                         if ht == ft and head[1] == fs:
+                            # The arrival's own mirrored calendar event
+                            # is the heap minimum: absorb it, go virtual.
                             heappop(heap)
                             feeder._virtual = True
                     now = ft
                     idle = smeta is None
+                    if idle:
+                        # The evented path schedules the completion
+                        # (inside receive) before the next arrival:
+                        # reserve its seq ahead of the feeder's.
+                        s_c = sim._seq
+                        sim._seq = s_c + 1
                     if colmode:
-                        if idle:
-                            # The evented path schedules the completion
-                            # (inside receive) before the next arrival:
-                            # reserve its seq ahead of pull_col's.
-                            s_c = sim._seq
-                            sim._seq = s_c + 1
-                        pid, acid, asize = pull_col(ft)
+                        pid, acid, asize = pull(ft)
                         arrivals += 1
                         if not 0 <= acid < num_classes:
                             raise SchedulingError(
@@ -1444,44 +1492,19 @@ class Link:
                             )
                         if heads[acid] == inf:
                             heads[acid] = ft
-                        cols[acid].extend(
-                            (
-                                ft,
-                                asize,
-                                pid if fid is None else (pid, fid, ft, ()),
-                            )
-                        )
+                        meta = pid if fid is None else (pid, fid, ft, ())
+                        cols[acid].extend((ft, asize, meta))
                         ccount += 1
                         backlog_bytes[acid] += asize
                         total += 1
-                        if idle:
-                            # Arrival onto an idle link: open the next
-                            # busy period inline.  The wrapper select
-                            # reads the published counts (and its pop
-                            # materializes a columnar head -- one
-                            # object per busy period, not per packet).
-                            self.busy = True
-                            self._busy_since = ft
-                            queues.total_packets = total
-                            queues.col_count = ccount
-                            nxt = scheduler.select(ft)
-                            total = queues.total_packets
-                            ccount = queues.col_count
-                            smeta = nxt
-                            scid = nxt.class_id
-                            sarr = nxt.arrived_at
-                            ssize = nxt.size
-                            sstart = ft
-                            t_c = ft + ssize / capacity
-                        ft = feeder.next_time
-                        fs = feeder.next_seq
+                        if genq is not None:
+                            # on_enqueue equivalent (SCFQ tags).
+                            genq(acid, asize, meta, ft)
                     else:
-                        arriving = pull()
-                        arrivals += 1
                         # inline Scheduler.enqueue + ClassQueueSet.push;
                         # pull() guarantees arrived_at == ft already.
-                        # Columns are never live in object mode, so the
-                        # plain deque push is exact.
+                        arriving = pull()
+                        arrivals += 1
                         acid = arriving.class_id
                         if not 0 <= acid < num_classes:
                             raise SchedulingError(
@@ -1494,24 +1517,43 @@ class Link:
                         queue.append(arriving)
                         backlog_bytes[acid] += arriving.size
                         total += 1
-                        if idle:
-                            self.busy = True
-                            self._busy_since = ft
-                            queues.total_packets = total
-                            nxt = scheduler.select(ft)
-                            total = queues.total_packets
-                            smeta = nxt
-                            scid = nxt.class_id
-                            sarr = nxt.arrived_at
-                            ssize = nxt.size
-                            sstart = ft
-                            t_c = ft + ssize / capacity
-                            s_c = sim._seq
-                            sim._seq = s_c + 1
-                        advance(ft)
-                        ft = feeder.next_time
+                        feeder.advance(ft)
+                    if idle:
+                        # Arrival onto an idle link: open the next busy
+                        # period inline.  A stock wrapper select reads
+                        # the published counts (and materializes a
+                        # columnar head -- one object per busy period).
+                        self.busy = True
+                        self._busy_since = ft
+                        queues.total_packets = total
+                        queues.col_count = ccount
+                        if gsel is not None:
+                            smeta, scid, sarr, ssize = gsel(ft)
+                        else:
+                            smeta = scheduler.select(ft)
+                            scid = smeta.class_id
+                            sarr = smeta.arrived_at
+                            ssize = smeta.size
+                        total = queues.total_packets
+                        ccount = queues.col_count
+                        sstart = ft
+                        t_c = ft + ssize / capacity
+                    nt = feeder.next_time
+                    if not fheap:
+                        ft = nt
                         fs = feeder.next_seq
+                        continue
+                    if nt is None:
+                        ft, fs, feeder = heappop(fheap)
+                    else:
+                        ft, fs, feeder = heappushpop(
+                            fheap, (nt, feeder.next_seq, feeder)
+                        )
+                    pull = feeder.pull_col if colmode else feeder.pull
+                    fid = feeder.flow_id if colmode else None
         finally:
+            for f in feeders:
+                f.park(heap)
             queues.total_packets = total
             queues.col_count = ccount
             sim.now = now
@@ -1526,287 +1568,8 @@ class Link:
                 smeta.service_start = sstart
                 self._in_service = smeta
                 self._pending_key = (t_c, s_c)
-            self.arrivals += arrivals
-            self.departures += departures
-            self.bytes_sent += nbytes
-            target.received += received
-
-    def _drain_fused_multi(self, packet: Packet) -> None:
-        """Drain loop for several fused feeders (same terms as single).
-
-        The pending feeder arrivals are tracked in a local min-heap of
-        ``(time, seq, feeder)`` keyed exactly like the calendar, so the
-        next fused arrival is a peek instead of an O(feeders) scan per
-        event.  Seq uniqueness means the feeder object itself is never
-        compared.  Columnar mode (see :meth:`_drain_fused_single`)
-        engages only when *every* feeder implements ``pull_col``.
-        """
-        sim = self.sim
-        heap = sim._heap
-        until = sim._run_until
-        capacity = self.capacity
-        scheduler = self.scheduler
-        choose = scheduler.choose_class
-        queues = scheduler.queues
-        qlist = queues.queues
-        cols = queues.cols
-        cheads = queues.col_heads
-        heads = queues.head_arrivals
-        backlog_bytes = queues.bytes_backlog
-        num_classes = queues.num_classes
-        target = self.target
-        keep = target.keep_packets
-        kept = target.packets
-        feeders = self._feeders
-        colmode = self.columnar and all(
-            hasattr(f, "pull_col") for f in feeders
-        )
-        complete = self._complete_service
-        now = sim.now
-        fheap = [
-            (f.next_time, f.next_seq, f)
-            for f in feeders
-            if f.next_time is not None
-        ]
-        heapify(fheap)
-        total = queues.total_packets
-        ccount = queues.col_count
-        dmeta = packet
-        dcid = packet.class_id
-        darr = packet.arrived_at
-        dsize = packet.size
-        dstart = packet.service_start
-        smeta = None
-        scid = 0
-        sarr = 0.0
-        ssize = 0.0
-        sstart = 0.0
-        arrivals = 0
-        departures = 0
-        nbytes = 0.0
-        received = 0
-        try:
-            while True:
-                # -- departure of the in-service packet at `now`
-                departures += 1
-                nbytes += dsize
-                received += 1
-                if keep:
-                    if type(dmeta) is Packet:
-                        p = dmeta
-                    else:
-                        p = materialize_entry(dcid, darr, dsize, dmeta)
-                    p.service_start = dstart
-                    p.departed_at = now
-                    p.hop_delays.append(dstart - darr)
-                    kept.append(p)
-                smeta = None
-                if total:
-                    queues.total_packets = total
-                    cid = choose(now)
-                    queue = qlist[cid]
-                    if queue:
-                        nxt = queue.popleft()
-                        ssize = nxt.size
-                        if queue:
-                            backlog_bytes[cid] -= ssize
-                            heads[cid] = queue[0].arrived_at
-                        else:
-                            col = cols[cid]
-                            h = cheads[cid]
-                            if h < len(col):
-                                backlog_bytes[cid] -= ssize
-                                heads[cid] = col[h]
-                            else:
-                                backlog_bytes[cid] = 0.0
-                                heads[cid] = inf
-                        smeta = nxt
-                        sarr = nxt.arrived_at
-                    else:
-                        col = cols[cid]
-                        h = cheads[cid]
-                        sarr = col[h]
-                        ssize = col[h + 1]
-                        smeta = col[h + 2]
-                        h += 3
-                        ccount -= 1
-                        if h == len(col):
-                            col.clear()
-                            cheads[cid] = 0
-                            backlog_bytes[cid] = 0.0
-                            heads[cid] = inf
-                        else:
-                            if h >= _COL_COMPACT:
-                                del col[:h]
-                                h = 0
-                            cheads[cid] = h
-                            backlog_bytes[cid] -= ssize
-                            heads[cid] = col[h]
-                    scid = cid
-                    total -= 1
-                    sstart = now
-                    t_c = now + ssize / capacity
-                    s_c = sim._seq
-                    sim._seq = s_c + 1
-                else:
-                    self.busy = False
-                    self.busy_time += now - self._busy_since
-                # -- consume fused arrivals preceding the completion
-                while True:
-                    if fheap:
-                        entry = fheap[0]
-                        ft = entry[0]
-                        fs = entry[1]
-                    else:
-                        ft = None
-                    if ft is None or (
-                        smeta is not None
-                        and (t_c < ft or (t_c == ft and s_c < fs))
-                    ):
-                        if smeta is None:
-                            return  # idle, all feeders exhausted
-                        if t_c > until or (
-                            heap
-                            and (
-                                heap[0][0] < t_c
-                                or (heap[0][0] == t_c and heap[0][1] < s_c)
-                            )
-                        ):
-                            for f in feeders:
-                                f.park(heap)
-                            if type(smeta) is not Packet:
-                                smeta = materialize_entry(
-                                    scid, sarr, ssize, smeta
-                                )
-                            smeta.service_start = sstart
-                            heappush(heap, (t_c, s_c, complete, smeta))
-                            return
-                        now = t_c
-                        dmeta = smeta
-                        dcid = scid
-                        darr = sarr
-                        dsize = ssize
-                        dstart = sstart
-                        break
-                    if ft > until:
-                        for f in feeders:
-                            f.park(heap)
-                        if smeta is not None:
-                            if type(smeta) is not Packet:
-                                smeta = materialize_entry(
-                                    scid, sarr, ssize, smeta
-                                )
-                            smeta.service_start = sstart
-                            heappush(heap, (t_c, s_c, complete, smeta))
-                        return
-                    if heap:
-                        head = heap[0]
-                        ht = head[0]
-                        if ht < ft or (ht == ft and head[1] < fs):
-                            for f in feeders:
-                                f.park(heap)
-                            if smeta is not None:
-                                if type(smeta) is not Packet:
-                                    smeta = materialize_entry(
-                                        scid, sarr, ssize, smeta
-                                    )
-                                smeta.service_start = sstart
-                                heappush(heap, (t_c, s_c, complete, smeta))
-                            return
-                        if ht == ft and head[1] == fs:
-                            heappop(heap)
-                            entry[2]._virtual = True
-                    feeder = entry[2]
-                    now = ft
-                    idle = smeta is None
-                    if colmode:
-                        if idle:
-                            # Evented order: completion seq (inside
-                            # receive) precedes the next arrival's.
-                            s_c = sim._seq
-                            sim._seq = s_c + 1
-                        pid, acid, asize = feeder.pull_col(ft)
-                        arrivals += 1
-                        if not 0 <= acid < num_classes:
-                            raise SchedulingError(
-                                f"packet class {acid} out of range "
-                                f"[0, {num_classes})"
-                            )
-                        if heads[acid] == inf:
-                            heads[acid] = ft
-                        ffid = feeder.flow_id
-                        cols[acid].extend(
-                            (
-                                ft,
-                                asize,
-                                pid if ffid is None else (pid, ffid, ft, ()),
-                            )
-                        )
-                        ccount += 1
-                        backlog_bytes[acid] += asize
-                        total += 1
-                        if idle:
-                            self.busy = True
-                            self._busy_since = ft
-                            queues.total_packets = total
-                            queues.col_count = ccount
-                            nxt = scheduler.select(ft)
-                            total = queues.total_packets
-                            ccount = queues.col_count
-                            smeta = nxt
-                            scid = nxt.class_id
-                            sarr = nxt.arrived_at
-                            ssize = nxt.size
-                            sstart = ft
-                            t_c = ft + ssize / capacity
-                    else:
-                        arriving = feeder.pull()
-                        arrivals += 1
-                        acid = arriving.class_id
-                        if not 0 <= acid < num_classes:
-                            raise SchedulingError(
-                                f"packet class {acid} out of range "
-                                f"[0, {num_classes})"
-                            )
-                        queue = qlist[acid]
-                        if not queue:
-                            heads[acid] = ft
-                        queue.append(arriving)
-                        backlog_bytes[acid] += arriving.size
-                        total += 1
-                        if idle:
-                            self.busy = True
-                            self._busy_since = ft
-                            queues.total_packets = total
-                            nxt = scheduler.select(ft)
-                            total = queues.total_packets
-                            smeta = nxt
-                            scid = nxt.class_id
-                            sarr = nxt.arrived_at
-                            ssize = nxt.size
-                            sstart = ft
-                            t_c = ft + ssize / capacity
-                            s_c = sim._seq
-                            sim._seq = s_c + 1
-                        feeder.advance(ft)
-                    nt = feeder.next_time
-                    if nt is None:
-                        heappop(fheap)
-                    else:
-                        heapreplace(fheap, (nt, feeder.next_seq, feeder))
-        finally:
-            queues.total_packets = total
-            queues.col_count = ccount
-            sim.now = now
-            if smeta is None:
-                self._in_service = None
-                self._pending_key = None
-            else:
-                if type(smeta) is not Packet:
-                    smeta = materialize_entry(scid, sarr, ssize, smeta)
-                smeta.service_start = sstart
-                self._in_service = smeta
-                self._pending_key = (t_c, s_c)
+                if parked:
+                    heappush(heap, (t_c, s_c, complete, smeta))
             self.arrivals += arrivals
             self.departures += departures
             self.bytes_sent += nbytes

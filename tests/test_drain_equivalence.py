@@ -452,3 +452,277 @@ def test_utilization_horizon_clamps_in_progress_service():
     sim.run()
     # Service ended at 11; a horizon past the end sees the full 10.
     assert link.utilization(horizon=20.0) == pytest.approx(10.0 / 20.0)
+
+
+# ----------------------------------------------------------------------
+# Monitored fused path: the DelayMonitor folded into the columnar drain
+# ----------------------------------------------------------------------
+class Recorder:
+    """A receiver that is not a PacketSink: keeps every packet."""
+
+    def __init__(self) -> None:
+        self.packets: list = []
+
+    def receive(self, packet) -> None:
+        self.packets.append(packet)
+
+
+def heap_fingerprint(sim: Simulator) -> list[tuple]:
+    """The calendar's contents, payloads reduced to comparable fields."""
+    rows = []
+    for time, seq, callback, payload in sim._heap:
+        if payload is None:
+            fields = None
+        else:
+            fields = (
+                payload.packet_id,
+                payload.class_id,
+                payload.size,
+                payload.arrived_at,
+                payload.service_start,
+                tuple(payload.hop_delays),
+            )
+        rows.append((time, seq, callback.__name__, fields))
+    return sorted(rows)
+
+
+def monitor_fingerprint(monitor: DelayMonitor) -> tuple:
+    stats = tuple(
+        (s.count, s.total.hex(), s.total_sq.hex(), s.min.hex(), s.max.hex())
+        for s in monitor.stats
+    )
+    samples = tuple(
+        tuple(float(v).hex() for v in series) for series in monitor.samples
+    )
+    return stats, samples
+
+
+def monitored_run(
+    trace: ArrivalTrace,
+    name: str,
+    drain: bool,
+    columnar: bool | None,
+    warmup: float,
+    keep_samples: bool,
+    until: float,
+):
+    """A DelayMonitor'd replay split at ``until``: returns the monitor,
+    link and calendar fingerprints at the split and at the end."""
+    sim = Simulator()
+    link = Link(
+        sim,
+        make_scheduler(name, SDPS),
+        capacity=1.0,
+        target=PacketSink(keep_packets=True),
+        drain=drain,
+        columnar=columnar,
+    )
+    monitor = DelayMonitor(4, warmup=warmup, keep_samples=keep_samples)
+    link.add_monitor(monitor)
+    TraceSource(sim, link, trace).start()
+    sim.run(until=until)
+    split = (
+        monitor_fingerprint(monitor),
+        link_state(sim, link),
+        heap_fingerprint(sim),
+    )
+    sim.run()
+    end = (
+        monitor_fingerprint(monitor),
+        link_state(sim, link),
+        packet_fingerprint(link.target),
+    )
+    return split, end
+
+
+def departure_instant(trace: ArrivalTrace, name: str, index: int) -> float:
+    """An exact departure timestamp of the scheduler's evented replay."""
+    _, link, _, _ = replay(trace, name, drain=False)
+    return link.target.packets[index].departed_at
+
+
+@pytest.mark.parametrize("keep_samples", [False, True])
+@pytest.mark.parametrize("name", sorted(available_schedulers()))
+def test_monitored_fused_matches_evented_and_object(name, keep_samples):
+    """Every registered scheduler with a DelayMonitor attached: the
+    fused columnar loop (monitor folded inline, generated bodies for
+    hook-overriding schedulers) against the evented path and against
+    the object-mode drain.  Stats (as float hex), kept samples, link
+    counters and the calendar left at a mid-run split must match bit
+    for bit; the warm-up lands exactly on a departure instant."""
+    trace = random_trace(seed=43)
+    warmup = departure_instant(trace, name, 150)
+    until = float(trace.times[len(trace) // 2]) + 0.5
+    runs = [
+        monitored_run(
+            trace, name, drain, columnar, warmup, keep_samples, until
+        )
+        for drain, columnar in ((True, True), (False, None), (True, False))
+    ]
+    fused = runs[0]
+    assert fused == runs[1]
+    assert fused == runs[2]
+    # The warm-up really splits the departures.
+    counts = sum(s[0] for s in fused[1][0][0])
+    assert 0 < counts < len(trace)
+
+
+@pytest.mark.parametrize("name", ["wtp", "bpr", "drr", "scfq"])
+def test_monitored_fused_path_engages(name, monkeypatch):
+    """The monitored replay takes the fused loop, columns included."""
+    entries = []
+    original = Link._drain_fused
+
+    def spy(self, packet, colmode, gsel, genq, monitors):
+        entries.append((colmode, gsel is not None))
+        return original(self, packet, colmode, gsel, genq, monitors)
+
+    monkeypatch.setattr(Link, "_drain_fused", spy)
+    sim = Simulator()
+    link = Link(sim, make_scheduler(name, SDPS), capacity=1.0)
+    link.add_monitor(DelayMonitor(4))
+    TraceSource(sim, link, random_trace(seed=3)).start()
+    sim.run()
+    assert entries
+    assert all(colmode for colmode, _ in entries)
+    assert all(gen == (not link._stock_sched) for _, gen in entries)
+
+
+def test_target_rebind_to_non_sink_falls_back():
+    """Rebinding a drained link's target after construction to a
+    receiver that is not a PacketSink must leave the fused loop (which
+    only knows how to count into a PacketSink) and deliver exactly what
+    the evented path delivers."""
+    trace = random_trace(seed=19)
+
+    def run(drain: bool):
+        sim = Simulator()
+        link = Link(
+            sim, make_scheduler("wtp", SDPS), capacity=1.0, drain=drain
+        )
+        link.target = Recorder()
+        TraceSource(sim, link, trace).start()
+        sim.run()
+        return sim, link
+
+    sim_d, link_d = run(True)
+    sim_e, link_e = run(False)
+    assert len(link_d.target.packets) == len(trace)
+    assert packet_fingerprint(link_d.target) == packet_fingerprint(
+        link_e.target
+    )
+    assert link_d.departures == link_e.departures
+    assert link_d.busy_time == link_e.busy_time
+    assert sim_d.now == sim_e.now
+
+
+def test_monitor_attached_between_runs_with_column_backlog():
+    """A DelayMonitor attached between two ``sim.run(until=...)`` calls
+    while columnar backlog is queued: the next drain entry folds it in
+    and must match the evented and object-mode runs exactly."""
+    trace = random_trace(seed=47)
+    split = float(trace.times[len(trace) // 2]) + 0.25
+
+    def run(drain: bool, columnar: bool | None = None):
+        sim = Simulator()
+        link = Link(
+            sim,
+            make_scheduler("bpr", SDPS),
+            capacity=1.0,
+            target=PacketSink(keep_packets=True),
+            drain=drain,
+            columnar=columnar,
+        )
+        TraceSource(sim, link, trace).start()
+        sim.run(until=split)
+        cols = link.scheduler.queues.col_count
+        monitor = DelayMonitor(4, keep_samples=True)
+        link.add_monitor(monitor)
+        sim.run()
+        return cols, monitor_fingerprint(monitor), link_state(sim, link), (
+            packet_fingerprint(link.target)
+        )
+
+    fused = run(True, columnar=True)
+    evented = run(False)
+    objects = run(True, columnar=False)
+    assert fused[0] > 0  # column backlog was queued at the attach
+    assert evented[0] == objects[0] == 0
+    assert fused[1:] == evented[1:]
+    assert fused[1:] == objects[1:]
+
+
+def test_monitor_plus_tap_keeps_generic_loop(monkeypatch):
+    """A PacketTap next to the DelayMonitor cannot be folded: the link
+    must run the generic object loop, identically to evented."""
+    from repro.sim import PacketTap
+
+    monkeypatch.setattr(
+        Link,
+        "_drain_fused",
+        lambda *args: pytest.fail("fused loop ran with a PacketTap attached"),
+    )
+    trace = random_trace(seed=53)
+
+    def run(drain: bool):
+        sim = Simulator()
+        link = Link(
+            sim,
+            make_scheduler("drr", SDPS),
+            capacity=1.0,
+            target=PacketSink(keep_packets=True),
+            drain=drain,
+        )
+        monitor = DelayMonitor(4, keep_samples=True)
+        tap = PacketTap(4, start=50.0, end=300.0)
+        link.add_monitor(monitor)
+        link.add_monitor(tap)
+        TraceSource(sim, link, trace).start()
+        sim.run()
+        rows = [tap.samples_array(c).tolist() for c in range(4)]
+        return monitor_fingerprint(monitor), rows, link_state(sim, link), (
+            packet_fingerprint(link.target)
+        )
+
+    drained = run(True)
+    assert drained == run(False)
+    assert sum(len(rows) for rows in drained[1]) > 0
+
+
+def test_failed_draingen_verdict_keeps_wrapper_loop(monkeypatch):
+    """A scheduler class whose generated body failed verification has
+    no ``gsel``: its monitored link keeps the wrapper-based generic
+    loop and stays identical to evented."""
+    from repro.schedulers import draingen
+    from repro.schedulers.bpr import BPRScheduler
+
+    draingen.generation_report()  # verdicts cached before the override
+    monkeypatch.setitem(draingen._VERDICTS, BPRScheduler, "forced failure")
+    monkeypatch.setattr(
+        Link,
+        "_drain_fused",
+        lambda *args: pytest.fail("fused loop ran without a verified body"),
+    )
+    trace = random_trace(seed=59)
+
+    def run(drain: bool):
+        sim = Simulator()
+        scheduler = make_scheduler("bpr", SDPS)
+        link = Link(
+            sim,
+            scheduler,
+            capacity=1.0,
+            target=PacketSink(keep_packets=True),
+            drain=drain,
+        )
+        assert draingen.generated_drain_pair(scheduler) is None
+        monitor = DelayMonitor(4, keep_samples=True)
+        link.add_monitor(monitor)
+        TraceSource(sim, link, trace).start()
+        sim.run()
+        assert link.scheduler.queues.col_count == 0
+        return monitor_fingerprint(monitor), link_state(sim, link), (
+            packet_fingerprint(link.target)
+        )
+
+    assert run(True) == run(False)
