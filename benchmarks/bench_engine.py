@@ -38,19 +38,13 @@ def test_kernel_event_throughput(benchmark):
     assert processed == 20_001
 
 
-def forward_packets(
-    scheduler_name: str,
-    horizon: float = 5e3,
-    columnar: bool | None = None,
-) -> int:
-    """Single-link forwarding; ``columnar`` overrides the link's packet
-    representation (None = the module default, normally columnar)."""
+def forward_packets(scheduler_name: str, horizon: float = 5e3) -> int:
+    """Single-link forwarding from four fused sources into a bare sink
+    (the columnar fused drain)."""
     sim = Simulator()
     streams = RandomStreams(0)
     scheduler = make_scheduler(scheduler_name, (1.0, 2.0, 4.0, 8.0))
-    link = Link(
-        sim, scheduler, capacity=1.0, target=PacketSink(), columnar=columnar
-    )
+    link = Link(sim, scheduler, capacity=1.0, target=PacketSink())
     ids = PacketIdAllocator()
     for class_id in range(4):
         TrafficSource(
@@ -126,8 +120,8 @@ def test_trace_replay_throughput(benchmark):
     assert departures == 20_000
 
 
-#: Schedulers of the monitored paper replay cell: stock wrappers (wtp)
-#: and two generated drain bodies (bpr, drr).
+#: Schedulers of the monitored paper replay cell: the shared stock drain
+#: body (wtp) and two transcribed ones (bpr, drr).
 MONITORED_SCHEDULERS = ("wtp", "bpr", "drr")
 
 
@@ -148,7 +142,7 @@ def replay_monitored(cell: tuple) -> int:
     attached) under each of :data:`MONITORED_SCHEDULERS`.
 
     Guards the monitored fused drain (DelayMonitor folded inline,
-    generated bodies for the hook-overriding schedulers): the cell
+    every select through a generated body): the cell
     falls back to the generic object loop if either stops engaging.
     Returns packets replayed across the schedulers.
     """
@@ -173,9 +167,9 @@ def run_multihop_cell(scheduler: str = "wtp") -> int:
     coupled server behind a ``FlowDemux`` and all cross-traffic rides
     one ``ArrivalCursor``, so this cell collapses to a handful of
     calendar events per busy period when chain fusion engages -- and
-    reverts to roughly the evented rate when it does not.  Non-stock
-    schedulers (``drr`` et al.) additionally exercise the generated
-    drain bodies (:mod:`repro.schedulers.draingen`).  Returns total
+    reverts to roughly the evented rate when it does not.  Every hop
+    selects through its scheduler's generated drain body
+    (:mod:`repro.schedulers.draingen`).  Returns total
     departures across all hops (the throughput work unit).
     """
     import warnings

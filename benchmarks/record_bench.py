@@ -16,19 +16,18 @@ Recorded metrics (events or packets per second, higher is better):
 * ``monitored_replay_packets_per_sec`` -- the paper's Study A replay
   (``replay_through_scheduler``, DelayMonitor attached) under wtp, bpr
   and drr: the monitored fused drain's guarded workload
-* ``wtp_forwarded_packets_per_sec`` -- single WTP link forwarding in
-  the session's packet representation (columnar unless
-  ``--object-packets``)
-* ``columnar_forwarded_packets_per_sec`` -- the same cell with the
-  columnar hot path forced ON; with ``--object-packets`` the two
-  metrics form an in-record columnar-vs-object A/B pair (mirroring the
-  scalar-vs-compiled arrival pairs from :mod:`bench_sources`)
+* ``wtp_forwarded_packets_per_sec`` -- single WTP link forwarding
+  (the columnar fused drain)
+* ``columnar_forwarded_packets_per_sec`` -- the same cell, timed again;
+  kept so older records stay comparable (it was the columnar half of
+  a columnar-vs-object A/B before the object representation left the
+  fused paths)
 * ``multihop_packets_per_sec``    -- Table 1 smoke cell (4 hops,
   rho=0.85, WTP, compiled arrivals): the chain-fused drain kernel's
   guarded workload
 * ``multihop_drr_packets_per_sec`` -- the same cell under DRR: the
-  generated drain bodies' guarded workload (a non-stock scheduler
-  only chain-fuses through :mod:`repro.schedulers.draingen`)
+  transcribed drain bodies' guarded workload (DRR's ``choose_class``
+  and ``on_select`` rewritten by :mod:`repro.schedulers.draingen`)
 * ``fanin_packets_per_sec``       -- fan-in merge cell (two upstreams
   + merge-point cross traffic): the chain walk's upstream fan-in
   fixpoint's guarded workload
@@ -66,12 +65,6 @@ stream back one record at a time, so the two figures must stay within
 a few tens of MB of each other -- that flatness IS the O(shard) memory
 claim, checked by eye in the record and by gate in
 :mod:`check_regression`).
-
-``--object-packets`` flips the module-wide packet-representation
-default (``repro.sim.link.COLUMNAR_DEFAULT``) to evented ``Packet``
-objects for every benchmark that builds links internally (multihop,
-sweeps, figure 1), so a pair of runs with and without the flag is a
-whole-suite columnar A/B.
 
 plus the end-to-end figure-1 smoke sweep, in seconds (lower is better):
 
@@ -139,14 +132,7 @@ def figure1_smoke_seconds(compiled: bool, repeats: int = 3) -> float:
     return best
 
 
-def collect(repeats: int, object_packets: bool = False) -> dict:
-    import repro.sim.link as link_mod
-
-    link_mod.COLUMNAR_DEFAULT = not object_packets
-
-    def forward_columnar(name: str) -> int:
-        return forward_packets(name, columnar=True)
-
+def collect(repeats: int) -> dict:
     kernel_events = 100_000
     trace_packets = 50_000
     paper = paper_replay_cell()
@@ -168,7 +154,7 @@ def collect(repeats: int, object_packets: bool = False) -> dict:
             forward_packets, "wtp", forward_packets("wtp"), repeats
         ),
         "columnar_forwarded_packets_per_sec": best_rate(
-            forward_columnar, "wtp", forward_columnar("wtp"), repeats
+            forward_packets, "wtp", forward_packets("wtp"), repeats
         ),
         "multihop_packets_per_sec": best_rate(
             run_multihop_cell, "wtp", run_multihop_cell("wtp"), repeats
@@ -214,8 +200,8 @@ def collect(repeats: int, object_packets: bool = False) -> dict:
     metrics["figure1_smoke_scalar_sec"] = scalar_sec
     metrics["figure1_smoke_speedup"] = scalar_sec / compiled_sec
     # Generated-body cost check: single-hop vs 4-hop multihop packet
-    # rates for the non-stock schedulers whose fused bodies come from
-    # the code generator.  The recorded ratio is single/multihop --
+    # rates for hook-overriding schedulers, whose fused bodies the code
+    # generator transcribes.  The recorded ratio is single/multihop --
     # multihop per-packet cost stays within ~1.5x of single-hop when
     # the generated chain-fused drains engage.
     multihop_vs_single = {}
@@ -242,7 +228,6 @@ def collect(repeats: int, object_packets: bool = False) -> dict:
         "python": platform.python_version(),
         "platform": platform.platform(),
         "repeats": repeats,
-        "packet_representation": "object" if object_packets else "columnar",
         "metrics": {k: round(v, 4) for k, v in metrics.items()},
         "multihop_vs_single_hop": multihop_vs_single,
         "sweep_streaming": sweep_streaming,
@@ -285,21 +270,11 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="earlier BENCH_*.json to embed per-metric speedups against",
     )
-    parser.add_argument(
-        "--object-packets",
-        action="store_true",
-        help=(
-            "run with evented Packet objects instead of the columnar "
-            "hot path (flips repro.sim.link.COLUMNAR_DEFAULT for the "
-            "whole suite; the columnar_* metric still forces columnar, "
-            "giving an in-record A/B pair)"
-        ),
-    )
     args = parser.parse_args(argv)
     if args.baseline is not None and not args.baseline.exists():
         parser.error(f"baseline not found: {args.baseline}")
 
-    record = collect(args.repeats, object_packets=args.object_packets)
+    record = collect(args.repeats)
     if args.baseline is not None:
         old = json.loads(args.baseline.read_text())["metrics"]
         record["baseline"] = args.baseline.name

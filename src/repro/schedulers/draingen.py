@@ -1,32 +1,34 @@
-"""Generated drain bodies for non-stock schedulers.
+"""Generated drain bodies: the one select every fused kernel calls.
 
-The chain-fused drain kernel (:mod:`repro.sim.link`) runs *stock*
-schedulers -- those using the base-class ``enqueue``/``select``
-wrappers with no hook overrides -- entirely on columnar state: no
-``Packet`` objects, no wrapper calls, just a fused
-choose/pop/bookkeeping loop inlined into the drain.  Schedulers that
-*do* override hooks (BPR, PAD, HPD, adaptive WTP, DRR, SCFQ) were
-stuck on the wrapper path, materializing every packet.
-
-This module closes that gap with a small code generator.  For each
-supported scheduler class it emits a specialized fused select body::
+The drain kernels of :mod:`repro.sim.link` (the single-link fused loop
+and the chain-fused drain, plus the chain's inline arrival-cursor
+batches) never select through the ``Scheduler.select`` wrapper and
+never inline a FIFO pop of their own.  They call one generated,
+oracle-verified body per scheduler, compiled by this module::
 
     gsel(now) -> (meta, cid, arrived_at, size)
 
-composed of three source fragments:
+It runs on the columnar queue state (no ``Packet`` objects, no wrapper
+calls) and is composed of three source fragments:
 
-* a *choose* fragment -- the scheduler's ``choose_class`` transcribed
-  to read the hybrid deque+column FIFOs directly (head arrival times
-  from the incrementally-maintained ``head_arrivals`` keys, head sizes
-  from the deque head or the column cursor -- bit-identical floats to
-  the attribute reads the wrapper path performs, since both are
-  maintained from the same values);
+* a *choose* fragment -- for a *stock* scheduler (one that keeps the
+  base ``enqueue``/``select`` and every hook; wtp, qwtp, fcfs, strict,
+  additive) simply ``cid = choose(now)`` with ``choose`` bound to the
+  live ``choose_class``, which already reads the
+  incrementally-maintained ``head_arrivals`` keys.  A hook-overriding
+  scheduler (BPR, PAD, HPD, adaptive WTP, DRR, SCFQ) gets its
+  ``choose_class`` transcribed to read the hybrid deque+column FIFOs
+  directly (head arrival times from ``head_arrivals``, head sizes from
+  the deque head or the column cursor -- bit-identical floats to the
+  attribute reads the wrapper path performs, since both are maintained
+  from the same values);
 * the shared *pop* fragment -- a verbatim transcription of
   ``ClassQueueSet.pop`` over the hybrid FIFO, minus the
   materialization (the whole point is that column entries stay
   unmaterialized until an observation boundary);
 * an *on_select* fragment -- the scheduler's hook rewritten over the
-  columnar scalars ``(cid, arr, size, meta)``.
+  columnar scalars ``(cid, arr, size, meta)`` (empty for stock
+  schedulers, whose hook is the base no-op).
 
 Schedulers that tag packets at arrival (SCFQ) additionally get a
 generated enqueue hook ``genq(cid, size, meta, now)``, called by the
@@ -59,7 +61,9 @@ Verification runs once per scheduler *class* and is cached; a failure
 permanently disables generation for that class (the drain kernel then
 keeps the always-correct wrapper path) and is recorded in
 :func:`generation_report` so the differential test harness can fail
-loudly rather than silently losing the fast path.
+loudly rather than silently losing the fast path.  Templates are keyed
+by exact class: a subclass (an impostor with a rewritten
+``choose_class``, say) has no template and runs the wrapper path.
 
 Float-op fidelity notes (kept in sync with the scheduler sources):
 
@@ -98,8 +102,7 @@ __all__ = ["generated_drain_pair", "generation_report", "supported_classes"]
 # ----------------------------------------------------------------------
 # Source fragments
 # ----------------------------------------------------------------------
-#: Verbatim transcription of ``ClassQueueSet.pop`` (and of the stock
-#: inline copy in ``repro.sim.link._chain_select``) over the hybrid
+#: Verbatim transcription of ``ClassQueueSet.pop`` over the hybrid
 #: deque+column FIFO, minus materialization.  Binds ``cid`` (set by the
 #: choose fragment) and leaves ``meta``/``arr``/``size`` for the
 #: on_select fragment and the return.
@@ -372,6 +375,11 @@ def _gsel_source(choose_src: str, on_select_src: str) -> str:
     )
 
 
+#: The stock select: the live ``choose_class`` plus the pop (stock
+#: schedulers keep the base no-op ``on_select``).
+_STOCK_GSEL = _gsel_source("    cid = choose(now)\n", "")
+
+
 # ----------------------------------------------------------------------
 # Templates
 # ----------------------------------------------------------------------
@@ -443,14 +451,19 @@ class _Template:
 
 def _make_templates() -> dict:
     from .adaptive_wtp import AdaptiveWTPScheduler
+    from .additive import AdditiveDelayScheduler
     from .bpr import BPRScheduler
     from .drr import DRRScheduler
+    from .fcfs import FCFSScheduler
     from .hpd import HPDScheduler
     from .pad import PADScheduler
+    from .quantized_wtp import QuantizedWTPScheduler
+    from .strict_priority import StrictPriorityScheduler
     from .wfq import SCFQScheduler
+    from .wtp import WTPScheduler
 
     sdps = (1.0, 2.0, 4.0, 8.0)
-    return {
+    templates = {
         BPRScheduler: _Template(
             _gsel_source(_BPR_CHOOSE, _BPR_ON_SELECT),
             None,
@@ -514,6 +527,25 @@ def _make_templates() -> dict:
             lambda: SCFQScheduler(sdps),
         ),
     }
+    # Stock schedulers share one body; only the canonical instance
+    # that class verification runs on differs.
+    for cls, canonical in (
+        (WTPScheduler, lambda: WTPScheduler(sdps)),
+        (QuantizedWTPScheduler, lambda: QuantizedWTPScheduler(sdps, 1.0)),
+        (FCFSScheduler, lambda: FCFSScheduler(len(sdps))),
+        (StrictPriorityScheduler, lambda: StrictPriorityScheduler(len(sdps))),
+        (
+            AdditiveDelayScheduler,
+            lambda: AdditiveDelayScheduler((0.0, 1.0, 3.0, 7.0)),
+        ),
+    ):
+        templates[cls] = _Template(
+            _STOCK_GSEL,
+            None,
+            lambda s: {"choose": s.choose_class},
+            canonical,
+        )
+    return templates
 
 
 _TEMPLATES: Optional[dict] = None
@@ -580,16 +612,21 @@ def _state_of(scheduler: Any) -> dict:
 
 def _compare_dispatch(ref_packet: Packet, gen, now: float) -> None:
     meta, cid, arr, size = gen
-    _expect(
+    if (
         ref_packet.class_id == cid
         and ref_packet.packet_id == _meta_pid(meta)
         and ref_packet.arrived_at == arr
-        and ref_packet.size == size,
+        and ref_packet.size == size
+    ):
+        return
+    # Formatted only on failure: verification runs at first use of
+    # every scheduler class, once per dispatch.
+    raise _GenerationMismatch(
         f"dispatch mismatch at t={now!r}: wrapper served "
         f"(cid={ref_packet.class_id}, pid={ref_packet.packet_id}, "
         f"arr={ref_packet.arrived_at!r}, size={ref_packet.size!r}) "
         f"but generated body served (cid={cid}, pid={_meta_pid(meta)}, "
-        f"arr={arr!r}, size={size!r})",
+        f"arr={arr!r}, size={size!r})"
     )
 
 
@@ -701,19 +738,21 @@ def generated_drain_pair(scheduler: Any):
     """``(gsel, genq)`` bound to ``scheduler``, or ``None``.
 
     Returns ``None`` -- leaving the drain kernel on the always-correct
-    wrapper path -- when the scheduler's exact class has no template,
-    its ``name`` has no registered oracle, a per-instance prerequisite
-    is missing (unbound BPR capacity), or class verification failed.
-    The bound pair is cached on the instance; verification is cached
-    per class.
+    wrapper path -- when the scheduler's exact class has no template
+    (a subclass or an out-of-registry scheduler), its ``name`` has no
+    registered oracle, a per-instance prerequisite is missing (unbound
+    BPR capacity), or class verification failed.  The bound pair is
+    cached on the instance; verification is cached per class.  The
+    drain kernels call this at every entry, so the cached case is the
+    first test.
     """
+    cached = scheduler.__dict__.get("_draingen_pair")
+    if cached is not None:
+        return cached
     cls = type(scheduler)
     template = _templates().get(cls)
     if template is None:
         return None
-    cached = scheduler.__dict__.get("_draingen_pair")
-    if cached is not None:
-        return cached
     if template.ready is not None and not template.ready(scheduler):
         return None
     from ..invariants.scheduler_checks import registered_scheduler_checks

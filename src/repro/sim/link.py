@@ -26,7 +26,8 @@ and the arrivals of *fused feeders* (sources that registered through
 every one through the event calendar.  Within a busy period departures
 are deterministic given the backlog, so the calendar adds no
 information; the drain advances a local clock by ``size / capacity``
-per packet and calls ``scheduler.select`` directly.
+per packet and selects through the scheduler's generated drain body
+(below) directly.
 
 Bit-identity with the evented path is structural, not best-effort:
 
@@ -98,8 +99,12 @@ The mirror protocol generalizes to members and cursors:
   calendar is restored bit-identical to the evented run's.
 
 Eligibility is strict: members must be lossless (no buffer, no drop
-policy), drain-enabled, hook-free, and use the stock
-``receive``/``_complete_service`` method bodies.  An invariant checker
+policy), drain-enabled, hook-free, and use the unmodified
+``receive``/``_complete_service`` method bodies.  A member selects
+through its scheduler's generated body when it has one and nothing
+observes it; a monitored member (or one without a verified body) is
+an *object-mode* member that runs the ``enqueue``/``select``
+wrappers.  An invariant checker
 attached to *any* link reachable through the walk marks the chain
 *blocked*: chain fusion is disabled and every link keeps its
 single-link drain paths, which hand packets through plain ``receive``
@@ -115,21 +120,24 @@ change.
 
 Columnar hot path (structure-of-arrays)
 ---------------------------------------
-With ``columnar=True`` (the default) the drain loops above stop
-materializing :class:`~repro.sim.packet.Packet` objects for packets
-nothing observes.  Fused arrivals enter the scheduler's
+The fused loops above do not materialize
+:class:`~repro.sim.packet.Packet` objects for packets nothing
+observes.  Fused arrivals enter the scheduler's
 :class:`~repro.sim.queues.ClassQueueSet` as flat per-class column
 entries ``(arrived_at, size, meta)`` -- ``meta`` being an ``int``
 packet id or a ``(packet_id, flow_id, created_at, hop_history)`` tuple
 -- and are selected off the maintained ``head_arrivals`` timestamps,
 so a packet can traverse queueing, selection, transmission, chain
 hand-off, and the departure counters as three scalars that never exist
-as an object.  Stock schedulers select inline; a hook-overriding one
-(bpr/hpd/pad/drr/scfq/adaptive-wtp) runs columnar through its
-oracle-verified :mod:`repro.schedulers.draingen` body, on a single
-link and inside a chain alike.  A real ``Packet`` is built
-(:func:`~repro.sim.queues.materialize_entry`, bit-identical to the one
-the evented path would carry) only at an observation boundary:
+as an object.  Every selection a fused loop makes goes through the
+scheduler's one oracle-verified :mod:`repro.schedulers.draingen` body
+``gsel`` (plus ``genq`` for arrival-tagging schedulers): the stock
+schedulers' shared body wraps their live ``choose_class``, the
+hook-overriding ones (bpr/hpd/pad/drr/scfq/adaptive-wtp) run
+transcribed bodies.  The link holds no FIFO pop of its own.  A real
+``Packet`` is built (:func:`~repro.sim.queues.materialize_entry`,
+bit-identical to the one the evented path would carry) only at an
+observation boundary:
 
 * a sink that retains packets (``keep_packets``) or any non-``Link``
   receiver (``FlowRecorder``, custom sinks) at departure; a single
@@ -140,25 +148,28 @@ the evented path would carry) only at an observation boundary:
   :class:`~repro.sim.monitor.DelayMonitor` inline (the float ops of
   ``ClassDelayStats.add``); any other monitor type, a second monitor,
   or a monitor on a chain member forces the generic drain loop /
-  object-mode chain members, whose selects materialize on pop,
+  object-mode chain members, which demote column residue and select
+  through the wrappers,
 * a drop policy or bounded buffer (columns never form: those links
   fail ``_fast_ok`` and are excluded from chains),
 * the invariant checker (attach demotes every column to objects, and
   the hook fallback in :meth:`Link._complete_service` demotes as a
   safety net),
-* a hook-overriding scheduler *without* a verified generated body (a
-  subclass, a failed verification, ``columnar=False``): it keeps the
-  wrapper-based generic loop, which demotes any column residue, and
-  ``ClassQueueSet.pop``/``head``/``heads`` materialize transparently,
+* a scheduler *without* a verified generated body (a subclass, an
+  unbound BPR capacity, a failed verification): it keeps the
+  wrapper-based generic loop, which demotes any column residue.  The
+  body is looked up on the live scheduler at every drain entry, so
+  replacing ``Link.scheduler`` is honoured,
 * a park (the pending completion must become a real calendar event
   payload; queued columns stay columnar across parks).
 
 Because the column entries carry exactly the fields the evented path
 would have written at the same points -- and every float expression,
 mutation order, and sequence-number reservation is kept verbatim --
-columnar and object runs are bit-identical in all externally visible
-state (``tests/test_drain_equivalence.py`` pins every registered
-scheduler, plus mid-run materialization boundaries).
+the fused runs are bit-identical to the evented oracle (``drain=False``)
+in all externally visible state (``tests/test_drain_equivalence.py``
+and ``tests/differential.py`` pin every registered scheduler, plus
+mid-run materialization boundaries).
 """
 
 from __future__ import annotations
@@ -177,17 +188,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..dropping.base import DropPolicy
     from ..schedulers.base import Scheduler
 
-__all__ = ["Link", "PacketSink", "Receiver", "COLUMNAR_DEFAULT"]
-
-#: Default for :class:`Link`'s ``columnar`` flag (the structure-of-arrays
-#: hot path; see the module docstring).  Read once per Link constructor,
-#: so benchmarks can A/B the object path by flipping the module
-#: attribute before building a topology.
-COLUMNAR_DEFAULT = True
-
-#: Consumed-prefix length (elements) at which a drain loop compacts a
-#: column in place; mirrors ``repro.sim.queues._COL_COMPACT``.
-_COL_COMPACT = 3 * 1024
+__all__ = ["Link", "PacketSink", "Receiver"]
 
 
 class Receiver(Protocol):
@@ -221,9 +222,9 @@ class _ChainLink:
     :mod:`repro.sim.queues`), its reserved ``(time, seq)`` heap key,
     and whether that key is virtual (reserved inline) or mirrors a real
     calendar event that predates the drain entry.  They are reset on
-    every entry; ``colmode`` (columnar link + stock scheduler + no
-    monitors) is likewise recomputed per entry, so a monitor attached
-    between events flips the member to object mode at the next one.
+    every entry; ``colmode`` (a generated body + no monitors) is
+    likewise recomputed per entry, so a monitor attached between events
+    flips the member to object mode at the next one.
     """
 
     __slots__ = (
@@ -240,9 +241,6 @@ class _ChainLink:
         "cross_rcv",
         "flow_dcl",
         "cross_dcl",
-        "stock",
-        "choose",
-        "qlist",
         "heads",
         "backlog",
         "nclasses",
@@ -261,7 +259,7 @@ class _ChainLink:
         "virtual",
     )
 
-    def __init__(self, link: "Link", stock: bool) -> None:
+    def __init__(self, link: "Link") -> None:
         scheduler = link.scheduler
         queues = scheduler.queues
         self.link = link
@@ -281,13 +279,6 @@ class _ChainLink:
         self.cross_rcv: Optional[Receiver] = None
         self.flow_dcl: Optional["_ChainLink"] = None
         self.cross_dcl: Optional["_ChainLink"] = None
-        #: True when the scheduler uses the stock enqueue/select
-        #: wrappers with no hook overrides, so their bodies (queue
-        #: push/pop, no-op hooks) are inlined verbatim -- the same
-        #: criterion and inlining as the link's fused drain loop.
-        self.stock = stock
-        self.choose = scheduler.choose_class
-        self.qlist = queues.queues
         self.heads = queues.head_arrivals
         self.backlog = queues.bytes_backlog
         self.nclasses = queues.num_classes
@@ -296,15 +287,15 @@ class _ChainLink:
         self.colmode = False
         #: Generated drain body (``repro.schedulers.draingen``): a
         #: fused select -- choose_class + ClassQueueSet.pop + on_select
-        #: with identical float ops and mutation order -- for a
-        #: *non-stock* scheduler whose generated code has been verified
-        #: against the live wrappers and its registered invariant-
-        #: checker oracle.  ``None`` keeps the wrapper call.
-        self.gsel = None
-        #: Generated enqueue-hook body (``on_enqueue`` as a function of
-        #: columnar scalars) for schedulers that tag packets at arrival
-        #: (SCFQ); called after every columnar push into this member.
-        self.genq = None
+        #: with identical float ops and mutation order -- verified
+        #: against the live wrappers and the scheduler's registered
+        #: invariant-checker oracle; plus the generated enqueue hook
+        #: (SCFQ arrival tags, else ``None``) called after every
+        #: columnar push into this member.  ``gsel is None`` (no
+        #: verified body) keeps the member in object mode.
+        from ..schedulers.draingen import generated_drain_pair
+
+        self.gsel, self.genq = generated_drain_pair(scheduler) or (None, None)
         #: In-service representation (None == idle): real Packet, int
         #: packet id, or (pid, flow_id, created_at, hop_history) tuple.
         self.pend_meta = None
@@ -408,70 +399,19 @@ def _chain_select(cl: _ChainLink, now: float, sim):
     item, reserving the completion's sequence number exactly where the
     evented path would have called ``sim.schedule``.
 
-    Stock members select inline off the hybrid deque+column FIFO
-    (identical float ops and mutation order to
-    ``ClassQueueSet.pop``); a columnar head stays unmaterialized in
-    ``pend_meta`` only in colmode -- an observed (monitored) stock
-    member materializes on pop, like the wrapper would.  NOTE: the body
-    is duplicated inline in ``_chain_complete`` (the per-departure hot
-    path); keep the two in sync.
+    A colmode member selects through its generated body, so a columnar
+    head stays unmaterialized in ``pend_meta``; an object-mode member
+    runs the ``select`` wrapper, which materializes on pop.  NOTE:
+    ``_chain_complete`` inlines this body (the per-departure hot path);
+    keep the two in sync.
     """
-    if cl.stock:
-        cid = cl.choose(now)
-        queue = cl.qlist[cid]
-        if queue:
-            nxt = queue.popleft()
-            size = nxt.size
-            if queue:
-                cl.backlog[cid] -= size
-                cl.heads[cid] = queue[0].arrived_at
-            else:
-                col = cl.ccols[cid]
-                h = cl.cheads[cid]
-                if h < len(col):
-                    cl.backlog[cid] -= size
-                    cl.heads[cid] = col[h]
-                else:
-                    cl.backlog[cid] = 0.0
-                    cl.heads[cid] = inf
-            cl.queues.total_packets -= 1
-            meta = nxt
-            arr = nxt.arrived_at
-        else:
-            col = cl.ccols[cid]
-            h = cl.cheads[cid]
-            arr = col[h]
-            size = col[h + 1]
-            meta = col[h + 2]
-            h += 3
-            queues = cl.queues
-            queues.col_count -= 1
-            if h == len(col):
-                col.clear()
-                cl.cheads[cid] = 0
-                cl.backlog[cid] = 0.0
-                cl.heads[cid] = inf
-            else:
-                if h >= _COL_COMPACT:
-                    del col[:h]
-                    h = 0
-                cl.cheads[cid] = h
-                cl.backlog[cid] -= size
-                cl.heads[cid] = col[h]
-            queues.total_packets -= 1
-            if not cl.colmode and type(meta) is not Packet:
-                meta = materialize_entry(cid, arr, size, meta)
-    elif cl.colmode:
-        # Generated drain body: oracle-verified fused
-        # choose_class/pop/on_select for a non-stock scheduler
-        # (colmode implies gsel is not None -- see _drain_chain).
+    if cl.colmode:
         meta, cid, arr, size = cl.gsel(now)
     else:
-        nxt = cl.scheduler.select(now)
-        meta = nxt
-        size = nxt.size
-        arr = nxt.arrived_at
-        cid = nxt.class_id
+        meta = cl.scheduler.select(now)
+        cid = meta.class_id
+        arr = meta.arrived_at
+        size = meta.size
     s = sim._seq
     sim._seq = s + 1
     cl.pend_meta = meta
@@ -492,34 +432,14 @@ def _chain_arrival(cl: _ChainLink, packet: Packet, now: float, sim, fheap) -> No
 
     The completion's sequence number is reserved exactly where
     ``receive -> _start_service`` would have called ``sim.schedule``.
-    Stock scheduler wrappers are inlined verbatim (identical float ops
-    and mutation order; only the call layers disappear).  The enqueue
-    is hybrid-aware: when the class tail lives in a column the object
-    is appended there (as a pre-materialized meta) so FIFO order never
-    interleaves.
+    The ``enqueue`` wrapper's push is hybrid-aware: when the class tail
+    lives in a column the object is appended there (as a
+    pre-materialized meta) so FIFO order never interleaves.
     """
     L = cl.link
     packet.arrived_at = now
     L.arrivals += 1
-    if cl.stock:
-        cid = packet.class_id
-        if not 0 <= cid < cl.nclasses:
-            raise SchedulingError(
-                f"packet class {cid} out of range [0, {cl.nclasses})"
-            )
-        col = cl.ccols[cid]
-        if len(col) != cl.cheads[cid]:
-            col.extend((now, packet.size, packet))
-            cl.queues.col_count += 1
-        else:
-            queue = cl.qlist[cid]
-            if not queue:
-                cl.heads[cid] = now
-            queue.append(packet)
-        cl.backlog[cid] += packet.size
-        cl.queues.total_packets += 1
-    else:
-        cl.scheduler.enqueue(packet, now)
+    cl.scheduler.enqueue(packet, now)
     if not L.busy:
         L.busy = True
         L._busy_since = now
@@ -574,8 +494,7 @@ def _chain_complete(cl: _ChainLink, now: float, sim, fheap, coupled):
         packet.service_start = sstart
         packet.departed_at = now
         packet.hop_delays.append(sstart - cl.pend_arr)
-        if not cl.stock:
-            cl.scheduler.on_departure(packet, now)
+        cl.scheduler.on_departure(packet, now)
         if cl.monitors:
             for monitor in cl.monitors:
                 monitor.on_departure(packet, now)
@@ -637,30 +556,7 @@ def _chain_complete(cl: _ChainLink, now: float, sim, fheap, coupled):
         else:
             if packet is None:
                 packet = _materialize_pending(cl, now)
-            if dcl.stock and down.busy:
-                # Busy downstream with a stock scheduler (the dominant
-                # case at high utilization): _chain_arrival's body
-                # minus the service start.
-                packet.arrived_at = now
-                down.arrivals += 1
-                cid = packet.class_id
-                if not 0 <= cid < dcl.nclasses:
-                    raise SchedulingError(
-                        f"packet class {cid} out of range [0, {dcl.nclasses})"
-                    )
-                col = dcl.ccols[cid]
-                if len(col) != dcl.cheads[cid]:
-                    col.extend((now, packet.size, packet))
-                    dcl.queues.col_count += 1
-                else:
-                    queue = dcl.qlist[cid]
-                    if not queue:
-                        dcl.heads[cid] = now
-                    queue.append(packet)
-                dcl.backlog[cid] += packet.size
-                dcl.queues.total_packets += 1
-            else:
-                _chain_arrival(dcl, packet, now, sim, fheap)
+            _chain_arrival(dcl, packet, now, sim, fheap)
     elif packet is not None:
         rcv.receive(packet)
     elif type(rcv) is PacketSink and not rcv.keep_packets:
@@ -672,60 +568,13 @@ def _chain_complete(cl: _ChainLink, now: float, sim, fheap, coupled):
     if cl.queues.total_packets:
         # Next service: inline copy of _chain_select (keep in sync),
         # returning the item for the caller's heapreplace.
-        if cl.stock:
-            cid = cl.choose(now)
-            queue = cl.qlist[cid]
-            if queue:
-                nxt = queue.popleft()
-                size = nxt.size
-                if queue:
-                    cl.backlog[cid] -= size
-                    cl.heads[cid] = queue[0].arrived_at
-                else:
-                    col = cl.ccols[cid]
-                    h = cl.cheads[cid]
-                    if h < len(col):
-                        cl.backlog[cid] -= size
-                        cl.heads[cid] = col[h]
-                    else:
-                        cl.backlog[cid] = 0.0
-                        cl.heads[cid] = inf
-                cl.queues.total_packets -= 1
-                meta = nxt
-                arr = nxt.arrived_at
-            else:
-                col = cl.ccols[cid]
-                h = cl.cheads[cid]
-                arr = col[h]
-                size = col[h + 1]
-                meta = col[h + 2]
-                h += 3
-                queues = cl.queues
-                queues.col_count -= 1
-                if h == len(col):
-                    col.clear()
-                    cl.cheads[cid] = 0
-                    cl.backlog[cid] = 0.0
-                    cl.heads[cid] = inf
-                else:
-                    if h >= _COL_COMPACT:
-                        del col[:h]
-                        h = 0
-                    cl.cheads[cid] = h
-                    cl.backlog[cid] -= size
-                    cl.heads[cid] = col[h]
-                queues.total_packets -= 1
-                if not cl.colmode and type(meta) is not Packet:
-                    meta = materialize_entry(cid, arr, size, meta)
-        elif cl.colmode:
-            # Generated drain body (colmode implies gsel is not None).
+        if cl.colmode:
             meta, cid, arr, size = cl.gsel(now)
         else:
-            nxt = cl.scheduler.select(now)
-            meta = nxt
-            size = nxt.size
-            arr = nxt.arrived_at
-            cid = nxt.class_id
+            meta = cl.scheduler.select(now)
+            cid = meta.class_id
+            arr = meta.arrived_at
+            size = meta.size
         s = sim._seq
         sim._seq = s + 1
         cl.pend_meta = meta
@@ -758,7 +607,6 @@ class Link:
         buffer_packets: Optional[int] = None,
         drop_policy: Optional["DropPolicy"] = None,
         drain: bool = True,
-        columnar: Optional[bool] = None,
     ) -> None:
         if capacity <= 0:
             raise ConfigurationError(f"link capacity must be positive: {capacity}")
@@ -781,9 +629,6 @@ class Link:
         self.monitors: list = []
         #: Busy-period drain kernel A/B switch (see module docstring).
         self.drain = drain
-        #: Columnar hot-path A/B switch (module docstring); ``None``
-        #: takes the module-level :data:`COLUMNAR_DEFAULT`.
-        self.columnar = COLUMNAR_DEFAULT if columnar is None else columnar
         self._feeders: list = []
         self._cursors: list = []
         #: ``(time, seq)`` heap key of the scheduled completion event
@@ -806,18 +651,6 @@ class Link:
         #: cache is cleared (forcing recomputation) whenever a feeder
         #: or cursor attaches, a checker detaches, or routes change.
         self._chain_fuse = False
-        # Stock schedulers use the base enqueue/select wrappers with no
-        # hook overrides, so the fused loop inlines the wrapper calls.
-        from ..schedulers.base import Scheduler  # deferred: import cycle
-
-        scheduler_cls = type(scheduler)
-        self._stock_sched = (
-            scheduler_cls.select is Scheduler.select
-            and scheduler_cls.enqueue is Scheduler.enqueue
-            and scheduler_cls.on_enqueue is Scheduler.on_enqueue
-            and scheduler_cls.on_select is Scheduler.on_select
-            and scheduler_cls.on_departure is Scheduler.on_departure
-        )
 
         self.busy = False
         self._in_service: Optional[Packet] = None
@@ -871,8 +704,9 @@ class Link:
         ``feeder`` must follow the feeder protocol: ``next_time`` /
         ``next_seq`` attributes mirroring its scheduled arrival event's
         heap key (``next_time is None`` when nothing is pending), a
-        ``_virtual`` flag owned by the drain, and ``pull()`` /
-        ``advance(now)`` / ``park(heap)`` methods
+        ``_virtual`` flag owned by the drain, a ``flow_id`` tag, and
+        ``pull()`` / ``pull_col(now)`` / ``advance(now)`` /
+        ``park(heap)`` methods
         (:class:`~repro.traffic.trace.TraceSource` and
         :class:`~repro.traffic.source.TrafficSource` implement it).
 
@@ -1116,26 +950,19 @@ class Link:
             )
         ):
             # Fused loop: only a bare sink and a foldable DelayMonitor
-            # observe departures.  Stock wrappers are inlined; other
-            # schedulers need a verified generated body and columns.
-            colmode = self.columnar and all(
-                hasattr(f, "pull_col") for f in feeders
-            )
-            if self._stock_sched:
-                self._drain_fused(packet, colmode, None, None, monitors)
-                return
-            if colmode:
-                from ..schedulers.draingen import generated_drain_pair
+            # observe departures, and the live scheduler has a
+            # verified generated body.
+            from ..schedulers.draingen import generated_drain_pair
 
-                pair = generated_drain_pair(scheduler)
-                if pair is not None:
-                    self._drain_fused(packet, True, *pair, monitors)
-                    return
-        if not self._stock_sched and scheduler.queues.col_count:
-            # Generated-body columns are only readable by the generated
-            # select; any residue crossing into the wrapper-based loop
-            # below (whose choose_class sees deques via the live
-            # wrappers) is an observation boundary -- demote it.
+            pair = generated_drain_pair(scheduler)
+            if pair is not None:
+                self._drain_fused(packet, *pair, monitors)
+                return
+        if scheduler.queues.col_count:
+            # Columns are read in place only by generated bodies; any
+            # residue crossing into the wrapper-based loop below (a
+            # hook-overriding choose_class reads deques) is an
+            # observation boundary -- demote it.
             scheduler.queues.demote()
         heap = sim._heap
         until = sim._run_until
@@ -1257,29 +1084,25 @@ class Link:
                     sim._seq = s_c + 1
                 feeder.advance(t_a)
 
-    def _drain_fused(
-        self, packet: Packet, colmode: bool, gsel, genq, monitors
-    ) -> None:
+    def _drain_fused(self, packet: Packet, gsel, genq, monitors) -> None:
         """Fused busy-period drain for one or more fused feeders.
 
         Runs only while per-packet state is unobservable but for a bare
         :class:`PacketSink` and at most one :class:`DelayMonitor` (see
-        :meth:`_complete_service`).  A stock scheduler's
-        ``enqueue``/``select`` wrappers (base no-op hooks) are inlined
-        verbatim; any other scheduler runs its oracle-verified generated
-        body ``gsel``/``genq`` (:mod:`repro.schedulers.draingen`), in
-        ``colmode`` only.  The monitor is folded in: its
-        :class:`ClassDelayStats` are updated at each departure with the
-        float ops, order and warm-up test of
+        :meth:`_complete_service`).  Every selection runs the
+        scheduler's oracle-verified generated body ``gsel`` (and every
+        arrival its ``genq`` hook, when it has one;
+        :mod:`repro.schedulers.draingen`).  The monitor is folded in:
+        its :class:`ClassDelayStats` are updated at each departure with
+        the float ops, order and warm-up test of
         :meth:`DelayMonitor.on_departure`.  Float expressions, mutation
         order and sequence reservations are those of the evented path;
         only the Python call layers disappear.
 
-        In ``colmode`` (columnar link, every feeder implements
-        ``pull_col``) arrivals enter the per-class columns as
-        ``(arrived_at, size, meta)`` scalars and are selected,
-        transmitted and counted without ever existing as objects; a
-        real :class:`Packet` is materialized only when the sink keeps
+        Arrivals enter the per-class columns as ``(arrived_at, size,
+        meta)`` scalars (``pull_col``) and are selected, transmitted
+        and counted without ever existing as objects; a real
+        :class:`Packet` is materialized only when the sink keeps
         packets (at departure, fully stamped) or at a park (the pending
         completion becomes a calendar payload).  The earliest pending
         feeder arrival ``(ft, fs, feeder)`` lives in locals, the others
@@ -1293,12 +1116,8 @@ class Link:
         heap = sim._heap
         until = sim._run_until
         capacity = self.capacity
-        scheduler = self.scheduler
-        choose = scheduler.choose_class
-        queues = scheduler.queues
-        qlist = queues.queues
+        queues = self.scheduler.queues
         cols = queues.cols
-        cheads = queues.col_heads
         heads = queues.head_arrivals
         backlog_bytes = queues.bytes_backlog
         num_classes = queues.num_classes
@@ -1314,9 +1133,6 @@ class Link:
             warmup = monitor.warmup
             mstats = monitor.stats
             samples = monitor._samples if monitor.keep_samples else None
-        if not colmode and queues.col_count:
-            # Object pushes below assume no live column tails.
-            queues.demote()
         fheap = [
             (f.next_time, f.next_seq, f)
             for f in feeders
@@ -1329,8 +1145,8 @@ class Link:
             ft, fs, feeder = heappop(fheap)
             # The current feeder's pull and flow tag, rebound whenever
             # another feeder becomes the earliest.
-            pull = feeder.pull_col if colmode else feeder.pull
-            fid = feeder.flow_id if colmode else None
+            pull = feeder.pull_col
+            fid = feeder.flow_id
         now = sim.now
         total = queues.total_packets
         ccount = queues.col_count
@@ -1380,55 +1196,10 @@ class Link:
                     # The packet count is kept in a local -- publish it
                     # before scheduler code sees the queue set.
                     queues.total_packets = total
-                    if gsel is not None:
-                        queues.col_count = ccount
-                        smeta, scid, sarr, ssize = gsel(now)
-                        total = queues.total_packets
-                        ccount = queues.col_count
-                    else:
-                        # inline Scheduler.select + the hybrid
-                        # ClassQueueSet.pop
-                        cid = choose(now)
-                        queue = qlist[cid]
-                        if queue:
-                            nxt = queue.popleft()
-                            ssize = nxt.size
-                            if queue:
-                                backlog_bytes[cid] -= ssize
-                                heads[cid] = queue[0].arrived_at
-                            else:
-                                col = cols[cid]
-                                h = cheads[cid]
-                                if h < len(col):
-                                    backlog_bytes[cid] -= ssize
-                                    heads[cid] = col[h]
-                                else:
-                                    backlog_bytes[cid] = 0.0
-                                    heads[cid] = inf
-                            smeta = nxt
-                            sarr = nxt.arrived_at
-                        else:
-                            col = cols[cid]
-                            h = cheads[cid]
-                            sarr = col[h]
-                            ssize = col[h + 1]
-                            smeta = col[h + 2]
-                            h += 3
-                            ccount -= 1
-                            if h == len(col):
-                                col.clear()
-                                cheads[cid] = 0
-                                backlog_bytes[cid] = 0.0
-                                heads[cid] = inf
-                            else:
-                                if h >= _COL_COMPACT:
-                                    del col[:h]
-                                    h = 0
-                                cheads[cid] = h
-                                backlog_bytes[cid] -= ssize
-                                heads[cid] = col[h]
-                        scid = cid
-                        total -= 1
+                    queues.col_count = ccount
+                    smeta, scid, sarr, ssize = gsel(now)
+                    total = queues.total_packets
+                    ccount = queues.col_count
                     sstart = now
                     t_c = now + ssize / capacity
                     s_c = sim._seq
@@ -1482,58 +1253,31 @@ class Link:
                         # reserve its seq ahead of the feeder's.
                         s_c = sim._seq
                         sim._seq = s_c + 1
-                    if colmode:
-                        pid, acid, asize = pull(ft)
-                        arrivals += 1
-                        if not 0 <= acid < num_classes:
-                            raise SchedulingError(
-                                f"packet class {acid} out of range "
-                                f"[0, {num_classes})"
-                            )
-                        if heads[acid] == inf:
-                            heads[acid] = ft
-                        meta = pid if fid is None else (pid, fid, ft, ())
-                        cols[acid].extend((ft, asize, meta))
-                        ccount += 1
-                        backlog_bytes[acid] += asize
-                        total += 1
-                        if genq is not None:
-                            # on_enqueue equivalent (SCFQ tags).
-                            genq(acid, asize, meta, ft)
-                    else:
-                        # inline Scheduler.enqueue + ClassQueueSet.push;
-                        # pull() guarantees arrived_at == ft already.
-                        arriving = pull()
-                        arrivals += 1
-                        acid = arriving.class_id
-                        if not 0 <= acid < num_classes:
-                            raise SchedulingError(
-                                f"packet class {acid} out of range "
-                                f"[0, {num_classes})"
-                            )
-                        queue = qlist[acid]
-                        if not queue:
-                            heads[acid] = ft
-                        queue.append(arriving)
-                        backlog_bytes[acid] += arriving.size
-                        total += 1
-                        feeder.advance(ft)
+                    pid, acid, asize = pull(ft)
+                    arrivals += 1
+                    if not 0 <= acid < num_classes:
+                        raise SchedulingError(
+                            f"packet class {acid} out of range "
+                            f"[0, {num_classes})"
+                        )
+                    if heads[acid] == inf:
+                        heads[acid] = ft
+                    meta = pid if fid is None else (pid, fid, ft, ())
+                    cols[acid].extend((ft, asize, meta))
+                    ccount += 1
+                    backlog_bytes[acid] += asize
+                    total += 1
+                    if genq is not None:
+                        # on_enqueue equivalent (SCFQ tags).
+                        genq(acid, asize, meta, ft)
                     if idle:
                         # Arrival onto an idle link: open the next busy
-                        # period inline.  A stock wrapper select reads
-                        # the published counts (and materializes a
-                        # columnar head -- one object per busy period).
+                        # period inline.
                         self.busy = True
                         self._busy_since = ft
                         queues.total_packets = total
                         queues.col_count = ccount
-                        if gsel is not None:
-                            smeta, scid, sarr, ssize = gsel(ft)
-                        else:
-                            smeta = scheduler.select(ft)
-                            scid = smeta.class_id
-                            sarr = smeta.arrived_at
-                            ssize = smeta.size
+                        smeta, scid, sarr, ssize = gsel(ft)
                         total = queues.total_packets
                         ccount = queues.col_count
                         sstart = ft
@@ -1549,8 +1293,8 @@ class Link:
                         ft, fs, feeder = heappushpop(
                             fheap, (nt, feeder.next_seq, feeder)
                         )
-                    pull = feeder.pull_col if colmode else feeder.pull
-                    fid = feeder.flow_id if colmode else None
+                    pull = feeder.pull_col
+                    fid = feeder.flow_id
         finally:
             for f in feeders:
                 f.park(heap)
@@ -1611,7 +1355,7 @@ class Link:
         Breadth-first from this link through direct ``Link`` targets
         and demuxes implementing the drain-demux protocol.  Couplable
         successors (drain-enabled, same simulator, lossless, hook-free,
-        stock method bodies) become chain members; a hooked successor
+        unmodified method bodies) become chain members; a hooked successor
         (invariant checker) marks the chain *blocked*; anything else is
         a chain boundary reached via plain ``receive``.  Every object
         examined contributes a guard so :meth:`_Chain.valid` detects
@@ -1629,9 +1373,6 @@ class Link:
         upstream edits that no guard can see are caught by the
         simulator's ``_topo_version`` stamp instead.
         """
-        from ..schedulers.base import Scheduler  # deferred: import cycle
-        from ..schedulers.draingen import generated_drain_pair
-
         guards: list = []
         members: list[_ChainLink] = []
         by_id: dict[int, _ChainLink] = {}
@@ -1646,22 +1387,7 @@ class Link:
             while pending:
                 L = pending.pop(0)
                 tgt = L.target
-                scls = type(L.scheduler)
-                stock = (
-                    scls.select is Scheduler.select
-                    and scls.enqueue is Scheduler.enqueue
-                    and scls.on_enqueue is Scheduler.on_enqueue
-                    and scls.on_select is Scheduler.on_select
-                    and scls.on_departure is Scheduler.on_departure
-                )
-                cl = _ChainLink(L, stock)
-                if not stock and L.columnar:
-                    # Non-stock scheduler on a columnar link: bind the
-                    # generated (oracle-verified) drain body when one
-                    # exists, so the member can run colmode.
-                    pair = generated_drain_pair(L.scheduler)
-                    if pair is not None:
-                        cl.gsel, cl.genq = pair
+                cl = _ChainLink(L)
                 members.append(cl)
                 by_id[id(L)] = cl
                 guards.append((0, L, tgt, L.scheduler))
@@ -1796,15 +1522,11 @@ class Link:
         seen_cursors: set = set()
         for cl in members:
             L = cl.link
-            cl.colmode = (
-                (cl.stock or cl.gsel is not None)
-                and L.columnar
-                and not L.monitors
-            )
-            if not cl.stock and not cl.colmode and cl.queues.col_count:
-                # A generated-body member that lost colmode (a monitor
-                # appeared) may hold columnar residue its wrapper
-                # select cannot read: observation boundary, demote.
+            cl.colmode = cl.gsel is not None and not L.monitors
+            if not cl.colmode and cl.queues.col_count:
+                # A member that lost colmode (a monitor appeared) may
+                # hold columnar residue a hook-overriding wrapper select
+                # cannot read: observation boundary, demote.
                 cl.queues.demote()
             for f in L._feeders:
                 feeders.append(f)

@@ -10,23 +10,26 @@ fixture layer that proves it exhaustively:
   alias, which must behave identically to ``scfq``);
 * :data:`SHAPES` -- topology builders: single hop, a 3-hop chain, a
   fan-in merge (two upstream links plus cross-traffic feeding one
-  server -- exercises the chain walk's upstream fixpoint), and a
-  routed diamond DAG through :class:`~repro.network.routed.RouteDemux`
-  (two flows sharing the tail edge);
+  server -- exercises the chain walk's upstream fixpoint), a routed
+  diamond DAG through :class:`~repro.network.routed.RouteDemux` (two
+  flows sharing the tail edge), and the chain and fan-in shapes with
+  a :class:`~repro.sim.monitor.DelayMonitor` on one member (hop 1,
+  the merge server), which keeps that member in object mode inside
+  an otherwise columnar fused chain;
 * :func:`run_cell` -- one (scheduler, shape) simulation in a chosen
   execution mode, returning a :class:`RunCapture`;
-* :func:`differential_cell` -- runs all four execution modes
-  (fused/evented x columnar/object) and asserts exact equality
-  against the evented-object reference.
+* :func:`differential_cell` -- runs both execution modes and asserts
+  exact equality against the evented reference.
 
 Execution modes
 ---------------
-``fused``    drain kernels on (single-link + chain-fused + generated
-             non-stock bodies) -- the production default;
+``fused``    drain kernels on (single-link + chain-fused, every
+             selection through the scheduler's generated body, packets
+             as columns until an observation boundary) -- the
+             production default;
 ``evented``  one calendar event per arrival/departure, wrapper calls
-             everywhere -- the semantics oracle.
-``columnar`` packets live as columns until an observation boundary;
-``object``   every packet is a real :class:`Packet` throughout.
+             and real :class:`Packet` objects everywhere -- the
+             semantics oracle.
 
 The module doubles as a CLI for the CI matrix job::
 
@@ -54,7 +57,7 @@ from repro.network.topology import FlowDemux
 from repro.schedulers import make_scheduler
 from repro.schedulers.draingen import generation_report
 from repro.schedulers.registry import available_schedulers
-from repro.sim import Link, PacketSink, Simulator
+from repro.sim import DelayMonitor, Link, PacketSink, Simulator
 from repro.sim.engine import _CANCELLABLE
 from repro.sim.rng import RandomStreams
 from repro.traffic import (
@@ -73,12 +76,7 @@ FLOW_STARTS = (40.0, 40.0 + 1.0 / 3.0, 97.625)
 #: strict, bpr, pad, hpd, adaptive-wtp, scfq, wfq, drr, additive).
 SCHEDULERS: tuple[str, ...] = available_schedulers()
 
-MODES = (
-    ("fused", "columnar"),
-    ("fused", "object"),
-    ("evented", "columnar"),
-    ("evented", "object"),
-)
+MODES = ("fused", "evented")
 
 
 @dataclass(frozen=True)
@@ -93,6 +91,8 @@ class RunCapture:
     #: Residual live calendar keys ``(time, seq)`` past the horizon --
     #: the drain contract says the heap must end bit-identical too.
     calendar: tuple
+    #: :func:`monitor_state` of every DelayMonitor, in topology order.
+    monitors: tuple = ()
     #: :meth:`InvariantReport.to_dict` of a checked run (``None``
     #: otherwise); excluded from equality so checked and unchecked
     #: captures of the same run still compare equal.
@@ -113,6 +113,16 @@ def link_state(link: Link) -> tuple:
     )
 
 
+def monitor_state(monitor: DelayMonitor) -> tuple:
+    return (
+        tuple(
+            (s.count, s.total, s.total_sq, s.min, s.max)
+            for s in monitor.stats
+        ),
+        tuple(tuple(series) for series in monitor.samples),
+    )
+
+
 def _capture(sim: Simulator, links, recorder: FlowRecorder, nflows: int) -> RunCapture:
     return RunCapture(
         delays=tuple(
@@ -126,6 +136,11 @@ def _capture(sim: Simulator, links, recorder: FlowRecorder, nflows: int) -> RunC
                 for entry in sim._heap
                 if not (entry[2] is _CANCELLABLE and entry[3].callback is None)
             )
+        ),
+        monitors=tuple(
+            monitor_state(monitor)
+            for link in links
+            for monitor in link.monitors
         ),
     )
 
@@ -166,7 +181,7 @@ def _launch_flows(sim, entries) -> int:
     return nflows
 
 
-def build_single(sim, name, drain, columnar, streams, ids):
+def build_single(sim, name, drain, streams, ids):
     recorder = FlowRecorder()
     link = Link(
         sim,
@@ -175,7 +190,6 @@ def build_single(sim, name, drain, columnar, streams, ids):
         target=FlowDemux(recorder, PacketSink()),
         name="hop0",
         drain=drain,
-        columnar=columnar,
     )
     cursor = ArrivalCursor(sim)
     for _ in range(2):
@@ -184,7 +198,7 @@ def build_single(sim, name, drain, columnar, streams, ids):
     return [link], [link], recorder
 
 
-def build_chain(sim, name, drain, columnar, streams, ids, hops: int = 3):
+def build_chain(sim, name, drain, streams, ids, hops: int = 3):
     recorder = FlowRecorder()
     links: list[Link] = []
     downstream = recorder
@@ -196,7 +210,6 @@ def build_chain(sim, name, drain, columnar, streams, ids, hops: int = 3):
             target=FlowDemux(downstream, PacketSink()),
             name=f"hop{hop}",
             drain=drain,
-            columnar=columnar,
         )
         links.append(link)
         downstream = link
@@ -208,7 +221,7 @@ def build_chain(sim, name, drain, columnar, streams, ids, hops: int = 3):
     return links, [links[0]], recorder
 
 
-def build_fanin(sim, name, drain, columnar, streams, ids):
+def build_fanin(sim, name, drain, streams, ids):
     """Two upstream links and cross-traffic merging into one server.
 
     The merge server is *behind* both upstreams, so the chain walk from
@@ -223,7 +236,6 @@ def build_fanin(sim, name, drain, columnar, streams, ids):
         target=FlowDemux(recorder, PacketSink()),
         name="merge",
         drain=drain,
-        columnar=columnar,
     )
     upstreams = [
         Link(
@@ -233,7 +245,6 @@ def build_fanin(sim, name, drain, columnar, streams, ids):
             target=merge,
             name=f"up{i}",
             drain=drain,
-            columnar=columnar,
         )
         for i in range(2)
     ]
@@ -246,7 +257,7 @@ def build_fanin(sim, name, drain, columnar, streams, ids):
     return [*upstreams, merge], upstreams, recorder
 
 
-def build_routed(sim, name, drain, columnar, streams, ids):
+def build_routed(sim, name, drain, streams, ids):
     """Diamond DAG: A->B->D and A->C->D, both continuing over D->E.
 
     Routes share the tail edge, so :class:`RouteDemux` resolution (not
@@ -259,10 +270,7 @@ def build_routed(sim, name, drain, columnar, streams, ids):
         net.add_node(node)
     edges = [("A", "B"), ("B", "D"), ("A", "C"), ("C", "D"), ("D", "E")]
     for src, dst in edges:
-        link = net.add_link(
-            src, dst, make_scheduler(name, SDPS), capacity=2.0
-        )
-        link.columnar = columnar if columnar is not None else link.columnar
+        net.add_link(src, dst, make_scheduler(name, SDPS), capacity=2.0)
     # One route per flow _launch_flows will create, alternating sides
     # of the diamond in the same (start, entry, class) launch order:
     # flow ids 0,1 enter A->B, 2,3 enter A->C, 4,5 A->B, ...
@@ -284,11 +292,24 @@ def build_routed(sim, name, drain, columnar, streams, ids):
     return links, entries, recorder
 
 
+def _monitored(build, index: int) -> Callable:
+    """``build`` with a DelayMonitor on its ``index``-th link."""
+
+    def build_monitored(sim, name, drain, streams, ids):
+        links, entries, recorder = build(sim, name, drain, streams, ids)
+        links[index].add_monitor(DelayMonitor(len(SDPS), keep_samples=True))
+        return links, entries, recorder
+
+    return build_monitored
+
+
 SHAPES: dict[str, Callable] = {
     "single": build_single,
     "chain": build_chain,
     "fanin": build_fanin,
     "routed": build_routed,
+    "chain-monitored": _monitored(build_chain, 1),
+    "fanin-monitored": _monitored(build_fanin, -1),
 }
 
 
@@ -299,15 +320,13 @@ def run_cell(
     scheduler: str,
     shape: str,
     kernel: str = "fused",
-    storage: str = "columnar",
     seed: int = 9,
     check_invariants: bool = False,
     horizon: float = HORIZON,
 ):
     """One simulation; returns ``(capture, links)``.
 
-    ``kernel`` is ``fused``/``evented``; ``storage`` is
-    ``columnar``/``object``.  With ``check_invariants`` an
+    ``kernel`` is ``fused``/``evented``.  With ``check_invariants`` an
     :class:`InvariantChecker` attaches to the last link (the merge
     server for fan-in shapes) and the run finishes with its
     ``finalize`` -- any oracle violation raises.
@@ -316,9 +335,8 @@ def run_cell(
     streams = RandomStreams(seed)
     ids = PacketIdAllocator()
     drain = kernel == "fused"
-    columnar = storage == "columnar"
     links, entries, recorder = SHAPES[shape](
-        sim, scheduler, drain, columnar, streams, ids
+        sim, scheduler, drain, streams, ids
     )
     nflows = _launch_flows(sim, entries)
     report = None
@@ -332,7 +350,7 @@ def run_cell(
         sim.run(until=horizon)
     for fid in range(nflows):
         assert recorder.packet_count(fid) == 5, (
-            f"{scheduler}/{shape}/{kernel}/{storage}: flow {fid} "
+            f"{scheduler}/{shape}/{kernel}: flow {fid} "
             f"delivered {recorder.packet_count(fid)}/5 packets"
         )
     capture = _capture(sim, links, recorder, nflows)
@@ -342,46 +360,45 @@ def run_cell(
             links=capture.links,
             now=capture.now,
             calendar=capture.calendar,
+            monitors=capture.monitors,
             invariants=report.to_dict(),
         )
     return capture, links
 
 
 def differential_cell(scheduler: str, shape: str, seed: int = 9) -> RunCapture:
-    """All four execution modes of one cell must capture identically.
+    """Both execution modes of one cell must capture identically.
 
-    Returns the reference capture (evented/object) for further
-    inspection.  Also asserts the fused run really fused on fusable
-    shapes -- a silent fallback to the wrapper path would make the
-    equality vacuous.
+    Returns the reference (evented) capture for further inspection.
+    Also asserts the fused run really fused on fusable shapes -- a
+    silent fallback to the wrapper path would make the equality
+    vacuous.
     """
-    captures = {}
-    fused_links = None
-    for kernel, storage in MODES:
-        captures[(kernel, storage)], links = run_cell(
-            scheduler, shape, kernel, storage, seed
-        )
-        if (kernel, storage) == ("fused", "columnar"):
-            fused_links = links
-    reference = captures[("evented", "object")]
-    for mode, capture in captures.items():
-        assert capture == reference, (
-            f"{scheduler}/{shape}: mode {mode} diverged from the "
-            f"evented/object reference"
-        )
+    fused, fused_links = run_cell(scheduler, shape, "fused", seed)
+    reference, _ = run_cell(scheduler, shape, "evented", seed)
+    assert fused == reference, (
+        f"{scheduler}/{shape}: the fused run diverged from the evented "
+        f"reference"
+    )
     # Fusion sanity: on multi-link shapes the entry must really have
-    # fused a chain of more than one member -- a silent fallback to the
-    # wrapper path would make the equality above vacuous.  (A single
-    # hop drains through the one-link busy-period kernel instead; its
-    # chain walk finds no coupled successor and leaves fusion off.)
+    # fused a chain of more than one member, every unobserved member
+    # selecting through its generated body.  (A single hop drains
+    # through the one-link busy-period kernel instead; its chain walk
+    # finds no coupled successor and leaves fusion off.)
     entry = fused_links[0]
     if shape != "single":
         assert entry._chain_fuse is True, (
             f"{scheduler}/{shape}: fused run fell back to the evented path"
         )
-        assert len(entry._chain_cache.members) > 1, (
+        members = entry._chain_cache.members
+        assert len(members) > 1, (
             f"{scheduler}/{shape}: chain walk found no coupled members"
         )
+        for cl in members:
+            assert cl.colmode is not bool(cl.link.monitors), (
+                f"{scheduler}/{shape}: member {cl.link.name} ran in the "
+                f"wrong packet representation"
+            )
     return reference
 
 
@@ -490,7 +507,6 @@ def _run_matrix(check_invariants: bool) -> tuple[list[tuple], bool]:
                         scheduler,
                         shape,
                         kernel="evented",
-                        storage="object",
                         check_invariants=True,
                     )
                 cells[shape] = "pass"
@@ -526,7 +542,7 @@ def _format_table(rows, check_invariants: bool) -> str:
     lines = [
         "# Differential harness results",
         "",
-        f"Modes per cell: {' '.join('/'.join(m) for m in MODES)}"
+        f"Modes per cell: {' '.join(MODES)}"
         + (" + oracle-checked evented replay" if check_invariants else ""),
         "",
         "| scheduler | " + " | ".join(shapes) + " |",

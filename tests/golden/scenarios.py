@@ -75,10 +75,9 @@ class DifferentialTask:
 def differential_summary(task: DifferentialTask) -> dict:
     """Run one differential-harness cell and summarize it (JSON-able).
 
-    The cell runs evented/object under the invariant checker -- the
-    harness's own grid already proves the other three execution modes
-    bit-identical to this one, so pinning the oracle-checked reference
-    pins all four.
+    The cell runs evented under the invariant checker -- the harness's
+    own grid already proves the fused mode bit-identical to this one,
+    so pinning the oracle-checked reference pins both.
     """
     from ..differential import run_cell
 
@@ -86,7 +85,6 @@ def differential_summary(task: DifferentialTask) -> dict:
         task.scheduler,
         task.shape,
         kernel="evented",
-        storage="object",
         seed=task.seed,
         check_invariants=True,
     )

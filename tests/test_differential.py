@@ -1,8 +1,9 @@
 """Pytest entry for the differential harness (``tests/differential.py``).
 
-Covers the full (scheduler x topology) grid -- every cell runs all four
-execution modes and must capture bit-identically -- plus the codegen
-contract (every generated drain body's class-level proof holds) and
+Covers the full (scheduler x topology) grid -- every cell runs both
+execution modes (fused, evented) and must capture bit-identically --
+plus the codegen contract (every scheduler has a generated drain body
+and its class-level proof holds) and
 sensitivity tests showing the six newly-registered scheduler oracles
 (PAD, HPD, adaptive WTP, DRR, SCFQ, additive) reject impostors instead
 of vacuously passing.
@@ -40,7 +41,7 @@ from .test_invariants import SDPS, small_config
 
 
 # ----------------------------------------------------------------------
-# The grid: 12 schedulers x 4 shapes x 4 execution modes
+# The grid: 12 schedulers x 6 shapes x 2 execution modes
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("shape", tuple(SHAPES))
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
@@ -84,7 +85,7 @@ def test_generated_bodies_all_verified() -> None:
     """Class-level verification must hold for every template -- a
     codegen regression should fail here, not silently fall back."""
     report = generation_report()
-    assert len(report) == len(supported_classes()) == 6
+    assert len(report) == len(supported_classes()) == 11
     failures = {k: v for k, v in report.items() if v is not True}
     assert not failures, f"codegen verification failures: {failures}"
 
@@ -113,11 +114,32 @@ def test_unbound_bpr_capacity_blocks_generation() -> None:
     assert generated_drain_pair(bound) is not None
 
 
-def test_stock_scheduler_has_no_template() -> None:
-    """Stock schedulers (inlined directly by the drain) need none."""
+def test_every_registered_scheduler_has_verified_body() -> None:
+    """Every registry name -- stock schedulers included, which share
+    one body around their live ``choose_class`` -- binds a verified
+    generated select; the fused kernels have no other select."""
+    from repro.schedulers import make_scheduler
+
+    report = generation_report()
+    for name in SCHEDULERS:
+        scheduler = make_scheduler(name, SDPS)
+        if hasattr(scheduler, "bind_capacity"):
+            scheduler.bind_capacity(1.0)
+        assert report[type(scheduler).__name__] is True, name
+        pair = generated_drain_pair(scheduler)
+        assert pair is not None, name
+        assert callable(pair[0])
+
+
+def test_subclass_has_no_template() -> None:
+    """Templates are keyed by exact class: a subclass that may rewrite
+    ``choose_class`` keeps the wrapper path."""
     from repro.schedulers.wtp import WTPScheduler
 
-    assert generated_drain_pair(WTPScheduler(SDPS)) is None
+    class Subclassed(WTPScheduler):
+        pass
+
+    assert generated_drain_pair(Subclassed(SDPS)) is None
 
 
 # ----------------------------------------------------------------------
@@ -127,8 +149,7 @@ def test_stock_scheduler_has_no_template() -> None:
     "scheduler", ("pad", "hpd", "adaptive-wtp", "drr", "scfq", "additive")
 )
 def test_oracle_checked_replay(scheduler: str) -> None:
-    run_cell(scheduler, "fanin", kernel="evented", storage="object",
-             check_invariants=True)
+    run_cell(scheduler, "fanin", kernel="evented", check_invariants=True)
 
 
 # ----------------------------------------------------------------------

@@ -81,7 +81,6 @@ def replay(
     monitor: bool = False,
     sampler_period: float | None = None,
     until: float | None = None,
-    columnar: bool | None = None,
 ):
     sim = Simulator()
     scheduler = make_scheduler(scheduler_name, SDPS)
@@ -91,7 +90,6 @@ def replay(
         capacity=1.0,
         target=PacketSink(keep_packets=keep),
         drain=drain,
-        columnar=columnar,
     )
     delay_monitor = None
     if monitor:
@@ -152,14 +150,13 @@ def test_boundary_arrival_at_departure_timestamp(name):
 
 @pytest.mark.parametrize("name", sorted(available_schedulers()))
 def test_columnar_vs_object_bit_identical_all_schedulers(name):
-    """The columnar hot path (lazy Packet materialization) against the
-    same drain kernel carrying real Packet objects: stock schedulers
-    select off column heads, hook-overriding ones transparently fall
-    back -- either way the departures (ids, timestamps, hop delays)
-    must be bit-identical."""
+    """The columnar hot path (lazy Packet materialization, every select
+    through the scheduler's generated body) against the evented oracle,
+    which carries real Packet objects throughout: the departures (ids,
+    timestamps, hop delays) must be bit-identical."""
     trace = random_trace(seed=17)
-    sim_c, link_c, _, _ = replay(trace, name, drain=True, columnar=True)
-    sim_o, link_o, _, _ = replay(trace, name, drain=True, columnar=False)
+    sim_c, link_c, _, _ = replay(trace, name, drain=True)
+    sim_o, link_o, _, _ = replay(trace, name, drain=False)
     assert packet_fingerprint(link_c.target) == packet_fingerprint(
         link_o.target
     )
@@ -168,10 +165,10 @@ def test_columnar_vs_object_bit_identical_all_schedulers(name):
 
 @pytest.mark.parametrize("name", sorted(available_schedulers()))
 def test_columnar_vs_evented_bit_identical_all_schedulers(name):
-    """Columnar forced ON (independent of COLUMNAR_DEFAULT) against the
-    classic one-event-per-departure path."""
+    """The columnar fused drain against the classic
+    one-event-per-departure path, on a second trace."""
     trace = random_trace(seed=29)
-    sim_c, link_c, _, _ = replay(trace, name, drain=True, columnar=True)
+    sim_c, link_c, _, _ = replay(trace, name, drain=True)
     sim_e, link_e, _, _ = replay(trace, name, drain=False)
     assert packet_fingerprint(link_c.target) == packet_fingerprint(
         link_e.target
@@ -216,12 +213,11 @@ def test_bounded_run_splits_busy_period_identically():
 
 
 def test_multi_source_fused_identical():
-    """Several fused TrafficSources (the multi-feeder drain loop) match
-    the evented run packet for packet, in both packet representations
-    (the columnar loop pulls scalars via ``pull_col``; the object loop
-    builds Packets via ``pull``)."""
+    """Several fused TrafficSources (the multi-feeder drain loop, which
+    pulls scalars via ``pull_col``) match the evented run packet for
+    packet."""
 
-    def run(drain: bool, columnar: bool | None = None):
+    def run(drain: bool):
         sim = Simulator()
         streams = RandomStreams(3)
         link = Link(
@@ -230,7 +226,6 @@ def test_multi_source_fused_identical():
             capacity=1.0,
             target=PacketSink(keep_packets=True),
             drain=drain,
-            columnar=columnar,
         )
         ids = PacketIdAllocator()
         for class_id in range(4):
@@ -245,13 +240,11 @@ def test_multi_source_fused_identical():
         sim.run(until=800.0)
         return sim, link
 
-    sim_d, link_d = run(True, columnar=True)
-    sim_o, link_o = run(True, columnar=False)
+    sim_d, link_d = run(True)
     sim_e, link_e = run(False)
-    fingerprint = packet_fingerprint(link_d.target)
-    assert fingerprint == packet_fingerprint(link_o.target)
-    assert fingerprint == packet_fingerprint(link_e.target)
-    assert link_state(sim_d, link_d) == link_state(sim_o, link_o)
+    assert packet_fingerprint(link_d.target) == packet_fingerprint(
+        link_e.target
+    )
     assert link_state(sim_d, link_d) == link_state(sim_e, link_e)
 
 
@@ -294,13 +287,13 @@ def test_monitor_attached_mid_drain_bit_identical():
     """A DelayMonitor attached by a calendar event landing inside a
     busy period: the columnar fast loop must park on the foreign key,
     and every later drain entry (``monitors`` now non-empty) routes to
-    the generic loop, which materializes queued column entries on pop.
-    Post-attach monitor series and the full departure fingerprint must
-    match the object-mode and evented runs exactly."""
+    the fused loop, which folds it in.  Post-attach monitor series and
+    the full departure fingerprint must match the evented run
+    exactly."""
     trace = random_trace(seed=41)
     attach_at = float(trace.times[len(trace) // 2]) + 0.25
 
-    def run(drain: bool, columnar: bool | None = None):
+    def run(drain: bool):
         sim = Simulator()
         link = Link(
             sim,
@@ -308,7 +301,6 @@ def test_monitor_attached_mid_drain_bit_identical():
             capacity=1.0,
             target=PacketSink(keep_packets=True),
             drain=drain,
-            columnar=columnar,
         )
         monitor = DelayMonitor(4, keep_samples=True)
         seen = {}
@@ -323,21 +315,17 @@ def test_monitor_attached_mid_drain_bit_identical():
         sim.run()
         return link, monitor, seen
 
-    link_c, mon_c, seen_c = run(True, columnar=True)
-    link_o, mon_o, seen_o = run(True, columnar=False)
+    link_c, mon_c, seen_c = run(True)
     link_e, mon_e, seen_e = run(False)
     # The boundary was genuinely exercised: the link was mid-busy-period
     # with object-free columnar backlog when the monitor appeared.
     assert seen_c["busy"] and seen_e["busy"]
     assert seen_c["cols"] > 0
-    assert seen_o["cols"] == seen_e["cols"] == 0
-    fingerprint = packet_fingerprint(link_c.target)
-    assert fingerprint == packet_fingerprint(link_o.target)
-    assert fingerprint == packet_fingerprint(link_e.target)
-    for series_c, series_o, series_e in zip(
-        mon_c.samples, mon_o.samples, mon_e.samples
-    ):
-        assert np.array_equal(series_c, series_o)
+    assert seen_e["cols"] == 0
+    assert packet_fingerprint(link_c.target) == packet_fingerprint(
+        link_e.target
+    )
+    for series_c, series_e in zip(mon_c.samples, mon_e.samples):
         assert np.array_equal(series_c, series_e)
     assert [s.count for s in mon_c.stats] == [s.count for s in mon_e.stats]
     assert [s.mean for s in mon_c.stats] == [s.mean for s in mon_e.stats]
@@ -345,9 +333,8 @@ def test_monitor_attached_mid_drain_bit_identical():
 
 def test_drop_policy_forces_object_fallback():
     """A drop policy (bounded buffer) is an observation boundary at
-    arrival time: the link fails ``_fast_ok``, columns never form even
-    with columnar requested, and the generic drain still matches the
-    evented run drop for drop."""
+    arrival time: the link fails ``_fast_ok``, columns never form, and
+    the generic drain still matches the evented run drop for drop."""
     from repro.dropping import TailDropPolicy
 
     trace = random_trace(seed=13)
@@ -360,7 +347,6 @@ def test_drop_policy_forces_object_fallback():
             capacity=1.0,
             target=PacketSink(keep_packets=True),
             drain=drain,
-            columnar=True,
             buffer_packets=6,
             drop_policy=TailDropPolicy(),
         )
@@ -387,7 +373,7 @@ def test_checker_attached_mid_run_demotes_columns():
     trace = random_trace(seed=37)
     attach_at = float(trace.times[len(trace) // 2]) + 0.25
 
-    def run(drain: bool, columnar: bool | None = None):
+    def run(drain: bool):
         sim = Simulator()
         link = Link(
             sim,
@@ -395,7 +381,6 @@ def test_checker_attached_mid_run_demotes_columns():
             capacity=1.0,
             target=PacketSink(keep_packets=True),
             drain=drain,
-            columnar=columnar,
         )
         checker = InvariantChecker(link)
         seen = {}
@@ -410,7 +395,7 @@ def test_checker_attached_mid_run_demotes_columns():
         sim.run()
         return link, checker, seen
 
-    link_c, checker_c, seen_c = run(True, columnar=True)
+    link_c, checker_c, seen_c = run(True)
     link_e, checker_e, seen_e = run(False)
     # The attach really crossed the boundary: columnar backlog existed
     # and was demoted in place (checker scans see real Packets).
@@ -501,7 +486,6 @@ def monitored_run(
     trace: ArrivalTrace,
     name: str,
     drain: bool,
-    columnar: bool | None,
     warmup: float,
     keep_samples: bool,
     until: float,
@@ -515,7 +499,6 @@ def monitored_run(
         capacity=1.0,
         target=PacketSink(keep_packets=True),
         drain=drain,
-        columnar=columnar,
     )
     monitor = DelayMonitor(4, warmup=warmup, keep_samples=keep_samples)
     link.add_monitor(monitor)
@@ -545,23 +528,18 @@ def departure_instant(trace: ArrivalTrace, name: str, index: int) -> float:
 @pytest.mark.parametrize("name", sorted(available_schedulers()))
 def test_monitored_fused_matches_evented_and_object(name, keep_samples):
     """Every registered scheduler with a DelayMonitor attached: the
-    fused columnar loop (monitor folded inline, generated bodies for
-    hook-overriding schedulers) against the evented path and against
-    the object-mode drain.  Stats (as float hex), kept samples, link
+    fused columnar loop (monitor folded inline, every select through
+    the generated body) against the evented path, whose packets are
+    real objects throughout.  Stats (as float hex), kept samples, link
     counters and the calendar left at a mid-run split must match bit
     for bit; the warm-up lands exactly on a departure instant."""
     trace = random_trace(seed=43)
     warmup = departure_instant(trace, name, 150)
     until = float(trace.times[len(trace) // 2]) + 0.5
-    runs = [
-        monitored_run(
-            trace, name, drain, columnar, warmup, keep_samples, until
-        )
-        for drain, columnar in ((True, True), (False, None), (True, False))
-    ]
-    fused = runs[0]
-    assert fused == runs[1]
-    assert fused == runs[2]
+    fused = monitored_run(trace, name, True, warmup, keep_samples, until)
+    assert fused == monitored_run(
+        trace, name, False, warmup, keep_samples, until
+    )
     # The warm-up really splits the departures.
     counts = sum(s[0] for s in fused[1][0][0])
     assert 0 < counts < len(trace)
@@ -569,13 +547,14 @@ def test_monitored_fused_matches_evented_and_object(name, keep_samples):
 
 @pytest.mark.parametrize("name", ["wtp", "bpr", "drr", "scfq"])
 def test_monitored_fused_path_engages(name, monkeypatch):
-    """The monitored replay takes the fused loop, columns included."""
+    """The monitored replay takes the fused loop, always with a bound
+    generated select (stock schedulers included)."""
     entries = []
     original = Link._drain_fused
 
-    def spy(self, packet, colmode, gsel, genq, monitors):
-        entries.append((colmode, gsel is not None))
-        return original(self, packet, colmode, gsel, genq, monitors)
+    def spy(self, packet, gsel, genq, monitors):
+        entries.append(gsel)
+        return original(self, packet, gsel, genq, monitors)
 
     monkeypatch.setattr(Link, "_drain_fused", spy)
     sim = Simulator()
@@ -584,8 +563,7 @@ def test_monitored_fused_path_engages(name, monkeypatch):
     TraceSource(sim, link, random_trace(seed=3)).start()
     sim.run()
     assert entries
-    assert all(colmode for colmode, _ in entries)
-    assert all(gen == (not link._stock_sched) for _, gen in entries)
+    assert all(callable(gsel) for gsel in entries)
 
 
 def test_target_rebind_to_non_sink_falls_back():
@@ -619,11 +597,11 @@ def test_target_rebind_to_non_sink_falls_back():
 def test_monitor_attached_between_runs_with_column_backlog():
     """A DelayMonitor attached between two ``sim.run(until=...)`` calls
     while columnar backlog is queued: the next drain entry folds it in
-    and must match the evented and object-mode runs exactly."""
+    and must match the evented run exactly."""
     trace = random_trace(seed=47)
     split = float(trace.times[len(trace) // 2]) + 0.25
 
-    def run(drain: bool, columnar: bool | None = None):
+    def run(drain: bool):
         sim = Simulator()
         link = Link(
             sim,
@@ -631,7 +609,6 @@ def test_monitor_attached_between_runs_with_column_backlog():
             capacity=1.0,
             target=PacketSink(keep_packets=True),
             drain=drain,
-            columnar=columnar,
         )
         TraceSource(sim, link, trace).start()
         sim.run(until=split)
@@ -643,13 +620,11 @@ def test_monitor_attached_between_runs_with_column_backlog():
             packet_fingerprint(link.target)
         )
 
-    fused = run(True, columnar=True)
+    fused = run(True)
     evented = run(False)
-    objects = run(True, columnar=False)
     assert fused[0] > 0  # column backlog was queued at the attach
-    assert evented[0] == objects[0] == 0
+    assert evented[0] == 0
     assert fused[1:] == evented[1:]
-    assert fused[1:] == objects[1:]
 
 
 def test_monitor_plus_tap_keeps_generic_loop(monkeypatch):
@@ -689,15 +664,14 @@ def test_monitor_plus_tap_keeps_generic_loop(monkeypatch):
     assert sum(len(rows) for rows in drained[1]) > 0
 
 
-def test_failed_draingen_verdict_keeps_wrapper_loop(monkeypatch):
+def _failed_verdict_run(monkeypatch, name: str, scheduler_cls) -> None:
     """A scheduler class whose generated body failed verification has
     no ``gsel``: its monitored link keeps the wrapper-based generic
     loop and stays identical to evented."""
     from repro.schedulers import draingen
-    from repro.schedulers.bpr import BPRScheduler
 
     draingen.generation_report()  # verdicts cached before the override
-    monkeypatch.setitem(draingen._VERDICTS, BPRScheduler, "forced failure")
+    monkeypatch.setitem(draingen._VERDICTS, scheduler_cls, "forced failure")
     monkeypatch.setattr(
         Link,
         "_drain_fused",
@@ -707,7 +681,8 @@ def test_failed_draingen_verdict_keeps_wrapper_loop(monkeypatch):
 
     def run(drain: bool):
         sim = Simulator()
-        scheduler = make_scheduler("bpr", SDPS)
+        scheduler = make_scheduler(name, SDPS)
+        assert type(scheduler) is scheduler_cls
         link = Link(
             sim,
             scheduler,
@@ -726,3 +701,61 @@ def test_failed_draingen_verdict_keeps_wrapper_loop(monkeypatch):
         )
 
     assert run(True) == run(False)
+
+
+def test_failed_draingen_verdict_keeps_wrapper_loop(monkeypatch):
+    """A hook-overriding scheduler (bpr) with a failed verdict."""
+    from repro.schedulers.bpr import BPRScheduler
+
+    _failed_verdict_run(monkeypatch, "bpr", BPRScheduler)
+
+
+def test_failed_stock_verdict_keeps_wrapper_loop(monkeypatch):
+    """A stock scheduler (wtp) with a failed verdict: its shared body
+    is gated per class like any other, so it keeps the wrapper loop."""
+    from repro.schedulers.wtp import WTPScheduler
+
+    _failed_verdict_run(monkeypatch, "wtp", WTPScheduler)
+
+
+# ----------------------------------------------------------------------
+# Replacing a link's scheduler between events
+# ----------------------------------------------------------------------
+SWAPS = [("wtp", "bpr"), ("bpr", "wtp")]
+
+
+def _swapped_scheduler(name: str):
+    scheduler = make_scheduler(name, SDPS)
+    if hasattr(scheduler, "bind_capacity"):
+        scheduler.bind_capacity(1.0)
+    return scheduler
+
+
+@pytest.mark.parametrize("before,after", SWAPS)
+def test_scheduler_swap_single_link(before, after):
+    """``Link.scheduler`` replaced after construction: the fused loop
+    reads the live scheduler's generated body at every entry, so the
+    replay matches the evented run bit for bit."""
+    trace = random_trace(seed=61)
+
+    def run(drain: bool):
+        sim = Simulator()
+        link = Link(
+            sim,
+            make_scheduler(before, SDPS),
+            capacity=1.0,
+            target=PacketSink(keep_packets=True),
+            drain=drain,
+        )
+        link.scheduler = _swapped_scheduler(after)
+        monitor = DelayMonitor(4, keep_samples=True)
+        link.add_monitor(monitor)
+        TraceSource(sim, link, trace).start()
+        sim.run()
+        return monitor_fingerprint(monitor), link_state(sim, link), (
+            packet_fingerprint(link.target)
+        )
+
+    fused = run(True)
+    assert fused == run(False)
+    assert fused[1][2] == len(trace)  # every packet departed

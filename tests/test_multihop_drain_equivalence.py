@@ -14,6 +14,9 @@ scheduler named in the Table 1 reproduction, including
 * an :class:`InvariantChecker` attached to a *middle* hop, which must
   disable chain fusion across the whole walk (the checker's hooks see
   every event) while the entry keeps its single-link drain;
+* a middle hop's scheduler replaced before or during the run, which
+  the chain's guards must notice so the member selects through the
+  new scheduler's generated body;
 * the routed-network topology (``RouteDemux`` resolution instead of
   ``FlowDemux``), under its own ``drain`` flag;
 * the ``truncated_experiments`` diagnostic surfaced by
@@ -68,7 +71,6 @@ def build_chain(
     scheduler_name: str,
     hops: int,
     drain: bool,
-    columnar: bool | None = None,
 ):
     """hops x (Link -> FlowDemux) ending at a FlowRecorder, as in
     run_multihop: cross-traffic exits at each hop's demux sink."""
@@ -84,7 +86,6 @@ def build_chain(
             target=demux,
             name=f"hop{hop}",
             drain=drain,
-            columnar=columnar,
         )
         links.append(link)
         downstream = link
@@ -101,7 +102,7 @@ def run_chain(
     checker_at: float | None = None,
     horizon: float = 400.0,
     seed: int = 9,
-    columnar: bool | None = None,
+    swap: tuple | None = None,
 ):
     """One run; returns (sim, links, per-flow delays, per-hop state,
     checker).  Pareto cross-traffic at roughly 0.77 load per hop plus
@@ -111,11 +112,13 @@ def run_chain(
     ``checker_at`` delays the checker attach to a scheduled calendar
     event mid-run (``checker.capture`` records the hop's columnar
     backlog around the attach); ``None`` attaches before the run.
+    ``swap = (hop, scheduler_name, at)`` replaces that hop's scheduler
+    before the run (``at is None``) or from a calendar event at ``at``.
     """
     sim = Simulator()
     streams = RandomStreams(seed)
     ids = PacketIdAllocator()
-    links, recorder = build_chain(sim, scheduler_name, hops, drain, columnar)
+    links, recorder = build_chain(sim, scheduler_name, hops, drain)
     cursor = ArrivalCursor(sim)
     for link in links:
         for _ in range(2):
@@ -161,6 +164,19 @@ def run_chain(
                 capture["cols_after"] = hop_link.scheduler.queues.col_count
 
             sim.schedule(checker_at, attach_mid_run)
+    if swap is not None:
+        hop, name, at = swap
+
+        def replace_scheduler():
+            scheduler = make_scheduler(name, SDPS)
+            if hasattr(scheduler, "bind_capacity"):
+                scheduler.bind_capacity(links[hop].capacity)
+            links[hop].scheduler = scheduler
+
+        if at is None:
+            replace_scheduler()
+        else:
+            sim.schedule(at, replace_scheduler)
     sim.run(until=horizon)
     delays = {
         fid: tuple(recorder.flow_delays(fid)) for fid in range(nflows)
@@ -185,20 +201,34 @@ def test_chain_bit_identical_all_schedulers(name):
 def test_chain_columnar_vs_object_bit_identical(name):
     """The chain-fused drain with columnar members (metas hop between
     coupled links as scalars, hop histories folded into meta tuples)
-    against the same fused drain carrying real Packets: flow delays
+    against the evented oracle, which carries real Packets: flow delays
     (sums of materialized ``hop_delays``) and per-hop state must match
-    exactly."""
+    exactly, on a second seed."""
     sim_c, links_c, delays_c, state_c, _ = run_chain(
-        name, drain=True, columnar=True
+        name, drain=True, seed=21
     )
-    sim_o, _, delays_o, state_o, _ = run_chain(
-        name, drain=True, columnar=False
-    )
+    sim_o, _, delays_o, state_o, _ = run_chain(name, drain=False, seed=21)
     assert delays_c == delays_o
     assert state_c == state_o
     assert sim_c.now == sim_o.now
     assert links_c[0]._chain_fuse is True
+    assert all(cl.colmode for cl in links_c[0]._chain_cache.members)
     assert all(len(d) == 5 for d in delays_c.values())
+
+
+@pytest.mark.parametrize("at", [None, 150.0])
+@pytest.mark.parametrize("before,after", [("wtp", "bpr"), ("bpr", "wtp")])
+def test_chain_member_scheduler_swap(before, after, at):
+    """Hop 1's scheduler replaced before the run or mid-run: the fused
+    chain rebinds the member's generated body and matches evented."""
+    swap = (1, after, at)
+    _, links_d, delays_d, state_d, _ = run_chain(before, True, swap=swap)
+    _, _, delays_e, state_e, _ = run_chain(before, False, swap=swap)
+    assert delays_d == delays_e
+    assert state_d == state_e
+    member = links_d[0]._chain_cache.members[1]
+    assert member.scheduler is links_d[1].scheduler
+    assert member.colmode
 
 
 def test_chain_member_demoted_mid_run():
@@ -208,7 +238,7 @@ def test_chain_member_demoted_mid_run():
     guards and rebuild as blocked, and the rest of the run must match
     an evented run with the checker attached at the same instant."""
     sim_c, links_c, delays_c, state_c, checker_c = run_chain(
-        "wtp", drain=True, columnar=True, checker_hop=1, checker_at=200.0
+        "wtp", drain=True, checker_hop=1, checker_at=200.0
     )
     sim_e, _, delays_e, state_e, checker_e = run_chain(
         "wtp", drain=False, checker_hop=1, checker_at=200.0
