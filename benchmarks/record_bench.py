@@ -68,9 +68,10 @@ claim, checked by eye in the record and by gate in
 
 plus the end-to-end figure-1 smoke sweep, in seconds (lower is better):
 
-* ``figure1_smoke_compiled_sec`` / ``figure1_smoke_scalar_sec`` -- the
-  same 14-cell sweep with block-drawn trace compilation on and off
-* ``figure1_smoke_speedup``      -- scalar / compiled
+* ``figure1_smoke_compiled_sec`` -- the 14-cell sweep on the production
+  path (block-drawn traces, drained links); scalar-vs-compiled source
+  rates are the ``<process>_scalar_*`` / ``<process>_compiled_*``
+  metrics above
 
 ``--baseline`` embeds a ``vs_baseline`` map of per-metric improvement
 factors against an earlier record (``*_sec`` metrics are inverted so
@@ -117,15 +118,13 @@ def best_rate(fn, arg, work_units: int, repeats: int = 3) -> float:
     return work_units / best
 
 
-def figure1_smoke_seconds(compiled: bool, repeats: int = 3) -> float:
+def figure1_smoke_seconds(repeats: int = 3) -> float:
     """Best-of-``repeats`` wall-clock of the 14-cell figure-1 smoke sweep."""
     from repro.experiments.figure1 import FigureOneConfig, run_figure1
 
     best = float("inf")
     for _ in range(repeats):
-        config = FigureOneConfig(
-            check_feasibility=False, compiled_arrivals=compiled
-        ).scaled(0.05)
+        config = FigureOneConfig(check_feasibility=False).scaled(0.05)
         start = time.perf_counter()
         run_figure1(config)
         best = min(best, time.perf_counter() - start)
@@ -194,11 +193,7 @@ def collect(repeats: int) -> dict:
         "cells_per_sec"
     ]
     metrics.update(bench_sources.collect(repeats))
-    compiled_sec = figure1_smoke_seconds(True, repeats)
-    scalar_sec = figure1_smoke_seconds(False, repeats)
-    metrics["figure1_smoke_compiled_sec"] = compiled_sec
-    metrics["figure1_smoke_scalar_sec"] = scalar_sec
-    metrics["figure1_smoke_speedup"] = scalar_sec / compiled_sec
+    metrics["figure1_smoke_compiled_sec"] = figure1_smoke_seconds(repeats)
     # Generated-body cost check: single-hop vs 4-hop multihop packet
     # rates for hook-overriding schedulers, whose fused bodies the code
     # generator transcribes.  The recorded ratio is single/multihop --

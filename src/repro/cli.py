@@ -73,14 +73,11 @@ def _figure1(
     export_dir: Optional[Path],
     runner: SweepRunner,
     checked: bool,
-    compiled: bool,
-    drain: bool,
 ) -> str:
     parts = []
     for sdps, label in ((SDP_RATIO_2, "1a"), (SDP_RATIO_4, "1b")):
         config = FigureOneConfig(
-            sdps=sdps, check_invariants=checked, compiled_arrivals=compiled,
-            drain=drain,
+            sdps=sdps, check_invariants=checked
         ).scaled(scale)
         points = run_figure1(config, runner=runner)
         parts.append(f"--- Figure {label} ---")
@@ -96,14 +93,11 @@ def _figure2(
     export_dir: Optional[Path],
     runner: SweepRunner,
     checked: bool,
-    compiled: bool,
-    drain: bool,
 ) -> str:
     parts = []
     for sdps, label in ((SDP_RATIO_2, "2a"), (SDP_RATIO_4, "2b")):
         config = FigureTwoConfig(
-            sdps=sdps, check_invariants=checked, compiled_arrivals=compiled,
-            drain=drain,
+            sdps=sdps, check_invariants=checked
         ).scaled(scale)
         points = run_figure2(config, runner=runner)
         parts.append(f"--- Figure {label} ---")
@@ -119,12 +113,8 @@ def _figure3(
     export_dir: Optional[Path],
     runner: SweepRunner,
     checked: bool,
-    compiled: bool,
-    drain: bool,
 ) -> str:
-    config = FigureThreeConfig(
-        check_invariants=checked, compiled_arrivals=compiled, drain=drain
-    ).scaled(scale)
+    config = FigureThreeConfig(check_invariants=checked).scaled(scale)
     boxes = run_figure3(config, runner=runner)
     if export_dir is not None:
         figure3_to_csv(boxes, export_dir / "figure3.csv")
@@ -137,12 +127,8 @@ def _figure45(
     export_dir: Optional[Path],
     runner: SweepRunner,
     checked: bool,
-    compiled: bool,
-    drain: bool,
 ) -> str:
-    config = MicroscopicConfig(
-        check_invariants=checked, compiled_arrivals=compiled, drain=drain
-    ).scaled(scale)
+    config = MicroscopicConfig(check_invariants=checked).scaled(scale)
     views = run_figure45(config, runner=runner)
     if export_dir is not None:
         figure45_to_json(views, export_dir / "figure45.json")
@@ -160,13 +146,8 @@ def _table1(
     export_dir: Optional[Path],
     runner: SweepRunner,
     checked: bool,
-    compiled: bool,
-    drain: bool,
 ) -> str:
-    config = TableOneConfig(
-        check_invariants=checked, compiled_arrivals=compiled,
-        drain_kernel=drain,
-    ).scaled(scale)
+    config = TableOneConfig(check_invariants=checked).scaled(scale)
     cells = run_table1(config, runner=runner)
     if export_dir is not None:
         table1_to_csv(cells, export_dir / "table1.csv")
@@ -179,10 +160,8 @@ def _selfcheck(
     export_dir: Optional[Path],
     runner: SweepRunner,
     checked: bool,
-    compiled: bool,
-    drain: bool,
 ) -> str:
-    del scale, export_dir, runner, checked, compiled, drain
+    del scale, export_dir, runner, checked
     from .validation import format_selfcheck, run_selfcheck
 
     return format_selfcheck(run_selfcheck())
@@ -193,11 +172,9 @@ def _ablations(
     export_dir: Optional[Path],
     runner: SweepRunner,
     checked: bool,
-    compiled: bool,
-    drain: bool,
 ) -> str:
     del export_dir  # nothing tabular worth exporting
-    del scale, checked, compiled, drain  # ablations are already laptop-sized
+    del scale, checked  # ablations are already laptop-sized
     parts = [
         format_ablation_rows(
             sdp_ratio_sweep(runner=runner), "SDP-ratio sweep (worst rel. error)"
@@ -229,12 +206,9 @@ def _city(
     export_dir: Optional[Path],
     runner: SweepRunner,
     checked: bool,
-    compiled: bool,
-    drain: bool,
     hybrid=None,
     fidelity_curve_epsilon: Optional[float] = None,
 ) -> str:
-    del compiled  # city traces are always block-compiled
     import dataclasses
 
     from .scenarios import CityGridConfig, city_to_csv, format_city, run_city
@@ -248,11 +222,10 @@ def _city(
             format_fidelity_curve,
         )
 
-        base = dataclasses.replace(
-            fidelity_curve_base(scale), drain=drain
-        )
         rows = fidelity_curve(
-            base=base, epsilon=fidelity_curve_epsilon, runner=runner
+            base=fidelity_curve_base(scale),
+            epsilon=fidelity_curve_epsilon,
+            runner=runner,
         )
         if export_dir is not None:
             fidelity_curve_to_csv(rows, export_dir / "fidelity_curve.csv")
@@ -263,7 +236,7 @@ def _city(
     grid = dataclasses.replace(
         grid,
         base=dataclasses.replace(
-            grid.base, check_invariants=checked, drain=drain, hybrid=hybrid
+            grid.base, check_invariants=checked, hybrid=hybrid
         ),
     ).scaled(scale)
     points = run_city(grid, runner=runner)
@@ -338,26 +311,6 @@ def main(argv: list[str] | None = None) -> int:
         help="disable the on-disk result cache entirely",
     )
     parser.add_argument(
-        "--scalar-arrivals",
-        action="store_true",
-        help=(
-            "generate arrivals with the scalar per-packet path instead "
-            "of the block-drawn compiled path (bit-identical results; "
-            "only useful for A/B verification and benchmarking)"
-        ),
-    )
-    parser.add_argument(
-        "--no-drain",
-        action="store_true",
-        help=(
-            "disable the link's busy-period drain kernel and run every "
-            "service completion through the event calendar "
-            "(bit-identical results; only useful for A/B verification "
-            "and benchmarking; cached separately via the config "
-            "fingerprint)"
-        ),
-    )
-    parser.add_argument(
         "--check-invariants",
         action="store_true",
         help=(
@@ -380,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--hybrid-epsilon",
         type=float,
-        default=0.05,
+        default=None,
         help=(
             "error-bound knob for --hybrid: a stretch runs in fluid "
             "mode only when its predicted error stays within this "
@@ -410,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--shard-size",
         type=int,
-        default=0,
+        default=None,
         help="cells per shard with --shard (0 = auto; default: 0)",
     )
     parser.add_argument(
@@ -437,9 +390,21 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--scale must be in (0, 1]")
     if args.jobs < 0:
         parser.error("--jobs must be >= 0")
-    if args.shard_size < 0:
+    for name, given in (
+        ("--shard-size", args.shard_size is not None),
+        ("--store-dir", args.store_dir is not None),
+    ):
+        if given and not args.shard:
+            parser.error(f"{name} needs --shard")
+    if args.shard_size is None:
+        args.shard_size = 0
+    elif args.shard_size < 0:
         parser.error("--shard-size must be >= 0")
-    if args.hybrid_epsilon < 0:
+    if args.hybrid_epsilon is None:
+        args.hybrid_epsilon = 0.05
+    elif not (args.hybrid or args.fidelity_curve):
+        parser.error("--hybrid-epsilon needs --hybrid or --fidelity-curve")
+    elif args.hybrid_epsilon < 0:
         parser.error("--hybrid-epsilon must be >= 0")
     hybrid_config = None
     if args.hybrid:
@@ -497,8 +462,6 @@ def main(argv: list[str] | None = None) -> int:
                 args.export_dir,
                 runner,
                 args.check_invariants,
-                not args.scalar_arrivals,
-                not args.no_drain,
                 **(
                     {
                         "hybrid": hybrid_config,

@@ -63,10 +63,6 @@ class SingleHopConfig:
     #: (start, end) windows for per-packet taps.
     tap_windows: tuple[tuple[float, float], ...] = ()
     keep_samples: bool = False
-    #: Busy-period drain kernel A/B switch (bit-identical results; see
-    #: :mod:`repro.sim.link`).  Part of the config, so sweep-cache
-    #: fingerprints distinguish drained from evented runs.
-    drain: bool = True
 
     def __post_init__(self) -> None:
         if len(self.sdps) != self.loads.num_classes:
@@ -147,15 +143,8 @@ class SingleHopResult:
         )
 
 
-def generate_trace(
-    config: SingleHopConfig, compiled: bool = True
-) -> ArrivalTrace:
-    """Draw the per-class Pareto arrival trace for a config.
-
-    ``compiled`` selects block-drawn trace compilation (the default;
-    bit-identical to the scalar loop, several times faster) or the
-    scalar per-packet path for A/B comparison.
-    """
+def generate_trace(config: SingleHopConfig) -> ArrivalTrace:
+    """Draw the per-class Pareto arrival trace for a config."""
     streams = RandomStreams(config.seed)
     sizes_mean = paper_trimodal_sizes().mean
     gaps = config.loads.mean_gaps(
@@ -168,10 +157,7 @@ def generate_trace(
         )
         sizes = paper_trimodal_sizes(streams.generator())
         per_class.append(
-            build_class_trace(
-                class_id, interarrivals, sizes, config.horizon,
-                compiled=compiled,
-            )
+            build_class_trace(class_id, interarrivals, sizes, config.horizon)
         )
     return merge_traces(per_class)
 
@@ -194,10 +180,7 @@ def replay_through_scheduler(
     violation raises :class:`~repro.errors.InvariantViolation`.
     """
     sim = Simulator()
-    link = Link(
-        sim, scheduler, config.capacity, target=PacketSink(),
-        drain=config.drain,
-    )
+    link = Link(sim, scheduler, config.capacity, target=PacketSink())
     monitor = DelayMonitor(
         config.num_classes, warmup=config.warmup, keep_samples=config.keep_samples
     )

@@ -35,10 +35,6 @@ class TableOneConfig:
     seed: int = 1
     #: Run every cell under the runtime invariant checker (one per hop).
     check_invariants: bool = False
-    #: Drive cross-traffic through the compiled arrival cursor.
-    compiled_arrivals: bool = True
-    #: Busy-period drain kernel on every hop's link (bit-identical).
-    drain_kernel: bool = True
 
     def scaled(self, factor: float) -> "TableOneConfig":
         return TableOneConfig(
@@ -50,8 +46,6 @@ class TableOneConfig:
             warmup=max(5_000.0, self.warmup * factor),
             seed=self.seed,
             check_invariants=self.check_invariants,
-            compiled_arrivals=self.compiled_arrivals,
-            drain_kernel=self.drain_kernel,
         )
 
 
@@ -91,10 +85,8 @@ def table1_tasks(config: TableOneConfig) -> list[MultiHopTask]:
                                 experiments=config.experiments,
                                 warmup=config.warmup,
                                 seed=config.seed,
-                                drain_kernel=config.drain_kernel,
                             ),
                             check_invariants=config.check_invariants,
-                            compiled_arrivals=config.compiled_arrivals,
                         )
                     )
     return tasks

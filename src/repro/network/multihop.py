@@ -33,7 +33,6 @@ from ..schedulers.registry import make_scheduler
 from ..traffic.compile import ArrivalCursor, CompiledMixedSource
 from ..traffic.pareto import ParetoInterarrivals
 from ..traffic.source import PacketIdAllocator
-from .crosstraffic import MixedClassSource
 from .flows import FlowRecorder, UserFlow
 from .topology import FlowDemux
 
@@ -64,10 +63,6 @@ class MultiHopConfig:
     warmup: float = 100_000.0           # ms (paper: 100 s)
     drain: float = 2000.0               # ms to let the last flows finish
     seed: int = 1
-    #: Busy-period drain *kernel* A/B switch for every hop's link
-    #: (bit-identical results; see :mod:`repro.sim.link`).  Distinct
-    #: from ``drain``, the end-of-run settle window above.
-    drain_kernel: bool = True
     #: Optional per-hop utilizations (length == hops); overrides
     #: ``utilization`` so heterogeneous paths (e.g. one bottleneck hop)
     #: can be studied.  ``None`` = every hop at ``utilization``.
@@ -164,7 +159,6 @@ class MultiHopResult:
 def run_multihop(
     config: MultiHopConfig,
     check_invariants: bool = False,
-    compiled_arrivals: bool = True,
     hybrid=None,
 ) -> MultiHopResult:
     """Simulate one Table 1 cell and return its user-experiment results.
@@ -175,13 +169,16 @@ def run_multihop(
     oracle at each hop) and the kernel runs through
     :meth:`~repro.sim.engine.Simulator.run_checked`.
 
-    ``compiled_arrivals`` (default) drives all cross-traffic through one
-    block-drawing :class:`~repro.traffic.compile.ArrivalCursor` -- the
-    same gap/class draws as the scalar sources, but a single pending
-    calendar entry for all K*C sources instead of one each.  A single
-    cursor spans every hop so the shared packet-id allocator hands out
-    ids in the same global arrival order as the scalar path.
-    ``compiled_arrivals=False`` keeps per-source scalar emission.
+    All cross-traffic runs through one block-drawing
+    :class:`~repro.traffic.compile.ArrivalCursor` -- the same gap/class
+    draws as per-source scalar emission
+    (:class:`~repro.network.crosstraffic.MixedClassSource`, which
+    ``tests/test_traffic_compile.py`` compares it against), but a
+    single pending calendar entry for all K*C sources instead of one
+    each.  A single cursor spans every hop so the shared packet-id
+    allocator hands out ids in global arrival order.  Every hop's link
+    runs the busy-period drain kernel; ``Link(drain=False)`` is the
+    evented reference the equivalence tests compare it against.
 
     With ``hybrid`` (a :class:`~repro.sim.hybrid.HybridConfig` with
     ``epsilon > 0``) the cross-traffic streams are *fast-forwarded*
@@ -191,7 +188,7 @@ def run_multihop(
     events.  The queues then re-warm packet-by-packet over the
     ``spinup`` guard before the first user experiment launches at
     ``warmup`` -- a regeneration-style cold handoff, no backlog
-    seeding.  Requires ``compiled_arrivals``; per-experiment delays are
+    seeding.  Per-experiment delays are
     statistically, not bit-, identical to the full run (skipped
     arrivals keep their random draws but not their packet ids).  When
     ``epsilon > 0`` but the warm-up gap is blocked (shorter than the
@@ -199,11 +196,6 @@ def run_multihop(
     :class:`RuntimeWarning` reports why each candidate gap was
     rejected instead of silently running fully packet-mode.
     """
-    if hybrid is not None and hybrid.epsilon > 0 and not compiled_arrivals:
-        raise ConfigurationError(
-            "hybrid fast-forward rides the compiled arrival path; "
-            "enable compiled_arrivals"
-        )
     sim = Simulator()
     streams = RandomStreams(config.seed)
     ids = PacketIdAllocator()
@@ -221,7 +213,6 @@ def run_multihop(
             capacity=config.capacity,
             target=demux,
             name=f"hop{hop}",
-            drain=config.drain_kernel,
         )
         links.append(link)
         downstream = link
@@ -230,39 +221,25 @@ def run_multihop(
 
     # Cross-traffic: C sources per hop, each with Pareto gaps; rates
     # sized per hop so each link hits its own target utilization.
-    cursor = ArrivalCursor(sim) if compiled_arrivals else None
+    cursor = ArrivalCursor(sim)
     cross_streams = []
     for hop, link in enumerate(links):
         gap = config.packet_size / config.cross_byte_rate_per_source_at(
             config.utilization_of_hop(hop)
         )
         for _ in range(config.cross_sources_per_hop):
-            if cursor is not None:
-                stream = CompiledMixedSource(
-                    link,
-                    ParetoInterarrivals(
-                        gap, config.pareto_shape, streams.generator()
-                    ),
-                    config.class_mix,
-                    config.packet_size,
-                    streams.generator(),
-                    ids=ids,
-                )
-                cursor.add(stream)
-                cross_streams.append(stream)
-            else:
-                source = MixedClassSource(
-                    sim,
-                    link,
-                    ParetoInterarrivals(
-                        gap, config.pareto_shape, streams.generator()
-                    ),
-                    config.class_mix,
-                    config.packet_size,
-                    streams.generator(),
-                    ids=ids,
-                )
-                source.start()
+            stream = CompiledMixedSource(
+                link,
+                ParetoInterarrivals(
+                    gap, config.pareto_shape, streams.generator()
+                ),
+                config.class_mix,
+                config.packet_size,
+                streams.generator(),
+                ids=ids,
+            )
+            cursor.add(stream)
+            cross_streams.append(stream)
     if hybrid is not None and hybrid.epsilon > 0:
         # The only fluid-eligible gap here is the measurement-free
         # warm-up: [0, warmup - spinup).  Vet it by the same rules the
@@ -296,8 +273,7 @@ def run_multihop(
         else:
             for stream in cross_streams:
                 stream.fast_forward(skip_until)
-    if cursor is not None:
-        cursor.start()
+    cursor.start()
 
     # User experiments: every experiment_period after warm-up, one flow
     # per class enters at the first hop simultaneously.

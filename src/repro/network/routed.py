@@ -99,9 +99,10 @@ class RoutedNetwork:
         self.nodes: set[str] = set()
         self.links: dict[tuple[str, str], Link] = {}
         self._routes: dict[int, _FlowRoute] = {}
-        #: Default for :meth:`add_link`'s ``drain`` flag -- the routed
-        #: path's equivalent of ``MultiHopConfig.drain_kernel`` /
-        #: the CLI's ``--no-drain`` A/B switch.
+        #: Busy-period drain kernel on every link :meth:`add_link`
+        #: creates.  ``False`` runs every completion through the event
+        #: calendar: the evented reference the equivalence tests and
+        #: ``python -m tests.differential`` compare the fused paths to.
         self.drain = drain
         #: Bumped on every route-table change; RouteDemux resolution
         #: caches and cached drain chains revalidate against it.
@@ -120,14 +121,11 @@ class RoutedNetwork:
         dst: str,
         scheduler: Scheduler,
         capacity: float,
-        drain: Optional[bool] = None,
     ) -> Link:
         """Create the directed edge src -> dst with its output link.
 
-        ``drain`` overrides the network-level default for this link's
-        busy-period drain kernel (``None`` inherits it); with the
-        kernel enabled, consecutive drain-enabled links along static
-        routes additionally fuse into chain drains.
+        With the network's drain kernel enabled, consecutive links along
+        static routes additionally fuse into chain drains.
         """
         if src not in self.nodes or dst not in self.nodes:
             raise TopologyError(f"unknown node in edge {src!r} -> {dst!r}")
@@ -140,7 +138,7 @@ class RoutedNetwork:
             capacity,
             target=RouteDemux(self, edge),
             name=f"{src}->{dst}",
-            drain=self.drain if drain is None else drain,
+            drain=self.drain,
         )
         self.links[edge] = link
         return link

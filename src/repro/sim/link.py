@@ -401,9 +401,7 @@ def _chain_select(cl: _ChainLink, now: float, sim):
 
     A colmode member selects through its generated body, so a columnar
     head stays unmaterialized in ``pend_meta``; an object-mode member
-    runs the ``select`` wrapper, which materializes on pop.  NOTE:
-    ``_chain_complete`` inlines this body (the per-departure hot path);
-    keep the two in sync.
+    runs the ``select`` wrapper, which materializes on pop.
     """
     if cl.colmode:
         meta, cid, arr, size = cl.gsel(now)
@@ -525,7 +523,6 @@ def _chain_complete(cl: _ChainLink, now: float, sim, fheap, coupled):
         else:
             dcl = cl.direct_dcl
     if dcl is not None:
-        down = dcl.link
         if packet is None and dcl.colmode:
             # Columnar hop hand-off: extend the meta's hop history with
             # this hop's queueing delay and push the scalars downstream.
@@ -534,25 +531,7 @@ def _chain_complete(cl: _ChainLink, now: float, sim, fheap, coupled):
                 meta = (meta, None, cl.pend_arr, (delay,))
             else:
                 meta = (meta[0], meta[1], meta[2], meta[3] + (delay,))
-            down.arrivals += 1
-            cid = cl.pend_cid
-            if not 0 <= cid < dcl.nclasses:
-                raise SchedulingError(
-                    f"packet class {cid} out of range [0, {dcl.nclasses})"
-                )
-            if dcl.heads[cid] == inf:
-                dcl.heads[cid] = now
-            dcl.ccols[cid].extend((now, size, meta))
-            queues = dcl.queues
-            queues.col_count += 1
-            dcl.backlog[cid] += size
-            queues.total_packets += 1
-            if dcl.genq is not None:
-                dcl.genq(cid, size, meta, now)
-            if not down.busy:
-                down.busy = True
-                down._busy_since = now
-                heappush(fheap, _chain_select(dcl, now, sim))
+            _chain_arrival_col(dcl, cl.pend_cid, size, meta, now, sim, fheap)
         else:
             if packet is None:
                 packet = _materialize_pending(cl, now)
@@ -566,27 +545,7 @@ def _chain_complete(cl: _ChainLink, now: float, sim, fheap, coupled):
     else:
         rcv.receive(_materialize_pending(cl, now))
     if cl.queues.total_packets:
-        # Next service: inline copy of _chain_select (keep in sync),
-        # returning the item for the caller's heapreplace.
-        if cl.colmode:
-            meta, cid, arr, size = cl.gsel(now)
-        else:
-            meta = cl.scheduler.select(now)
-            cid = meta.class_id
-            arr = meta.arrived_at
-            size = meta.size
-        s = sim._seq
-        sim._seq = s + 1
-        cl.pend_meta = meta
-        cl.pend_cid = cid
-        cl.pend_arr = arr
-        cl.pend_size = size
-        cl.pend_sstart = now
-        t_c = now + size / cl.capacity
-        cl.t_c = t_c
-        cl.s_c = s
-        cl.virtual = True
-        return (t_c, s, 0, cl)
+        return _chain_select(cl, now, sim)
     cl.pend_meta = None
     L.busy = False
     L._in_service = None
@@ -627,7 +586,8 @@ class Link:
         self.buffer_packets = buffer_packets
         self.drop_policy = drop_policy
         self.monitors: list = []
-        #: Busy-period drain kernel A/B switch (see module docstring).
+        #: Busy-period drain kernel; ``False`` is the evented reference
+        #: the equivalence tests compare it against (module docstring).
         self.drain = drain
         self._feeders: list = []
         self._cursors: list = []

@@ -625,7 +625,11 @@ class ArrivalCursor:
                 L = dcl.link
                 if L.busy:
                     # Busy member: inline columnar enqueue (the
-                    # dominant case at high utilization).
+                    # dominant case at high utilization).  This copies
+                    # _chain_arrival_col's busy path on purpose: calling
+                    # it here measured slower on table1-multihop
+                    # (norm_wall_s 2.021 -> 2.091 s, slower in 5 of 8
+                    # interleaved pairs), so keep the two in sync.
                     L.arrivals += 1
                     if not 0 <= cid < dcl.nclasses:
                         raise SchedulingError(

@@ -97,8 +97,8 @@ def build_class_trace(
     independent generators -- the :class:`~repro.sim.rng.RandomStreams`
     discipline -- because block drawing reorders draws *across* the two
     streams, though never within one.)  Memory stays O(chunk) beyond the
-    returned arrays.  ``compiled=False`` keeps the scalar loop for A/B
-    comparison.
+    returned arrays.  ``compiled=False`` keeps the scalar loop as the
+    reference the equivalence tests compare the blocks against.
     """
     if horizon <= start_time:
         raise ConfigurationError("horizon must exceed start_time")

@@ -132,3 +132,22 @@ class TestCLI:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["figure9"])
+
+    @pytest.mark.parametrize(
+        "extra, missing",
+        [
+            (["--store-dir", "shards"], "--shard"),
+            (["--shard-size", "4"], "--shard"),
+            (["--hybrid-epsilon", "0.1"], "--hybrid"),
+        ],
+        ids=["store-dir", "shard-size", "hybrid-epsilon"],
+    )
+    def test_option_without_its_mode_rejected(
+        self, capsys, tmp_path, extra, missing
+    ):
+        argv = ["figure3", "--scale", "0.05", "--jobs", "1", "--no-cache"]
+        if extra[0] == "--store-dir":
+            extra = [extra[0], str(tmp_path / extra[1])]
+        with pytest.raises(SystemExit):
+            main(argv + extra)
+        assert f"needs {missing}" in capsys.readouterr().err

@@ -629,16 +629,6 @@ class TestMultihopHybrid:
         assert fast.rd == pytest.approx(full.rd, rel=1e-9)
         assert fast.truncated_experiments == full.truncated_experiments
 
-    def test_requires_compiled_arrivals(self):
-        from repro.network.multihop import MultiHopConfig, run_multihop
-
-        with pytest.raises(ConfigurationError, match="compiled"):
-            run_multihop(
-                MultiHopConfig(hops=2, experiments=2, warmup=2_000.0),
-                compiled_arrivals=False,
-                hybrid=HybridConfig(epsilon=0.05),
-            )
-
 
 class TestFastForward:
     def test_skip_then_emit_matches_full_tail(self):

@@ -424,13 +424,16 @@ def test_truncated_experiments_surfaced_and_warned():
     )
 
 
-def test_multihop_smoke_cell_drained_vs_evented():
+def test_multihop_smoke_cell_drained_vs_evented(monkeypatch):
     """End-to-end: the benchmark's own smoke cell, drained vs evented,
     compared field-for-field (delay percentiles are float arrays --
-    equality must be exact)."""
+    equality must be exact).  The evented leg builds every hop as
+    ``Link(drain=False)``."""
     import dataclasses
 
     import numpy as np
+
+    import repro.network.multihop as multihop_mod
 
     base = dict(
         hops=3,
@@ -444,19 +447,25 @@ def test_multihop_smoke_cell_drained_vs_evented():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         drained = run_multihop(MultiHopConfig(**base))
-        evented = run_multihop(MultiHopConfig(**base, drain_kernel=False))
-        scalar = run_multihop(MultiHopConfig(**base), compiled_arrivals=False)
+        evented_links = []
+
+        def evented_link(*args, **kwargs):
+            link = Link(*args, drain=False, **kwargs)
+            evented_links.append(link)
+            return link
+
+        monkeypatch.setattr(multihop_mod, "Link", evented_link)
+        evented = run_multihop(MultiHopConfig(**base))
+    assert len(evented_links) == base["hops"]
     assert drained.hop_departures == evented.hop_departures
-    assert drained.hop_departures == scalar.hop_departures
     assert drained.truncated_experiments == evented.truncated_experiments
-    for lhs, rhs in ((drained, evented), (drained, scalar)):
-        assert len(lhs.comparisons) == len(rhs.comparisons) > 0
-        for c1, c2 in zip(lhs.comparisons, rhs.comparisons):
-            for field in dataclasses.fields(c1):
-                v1 = getattr(c1, field.name)
-                v2 = getattr(c2, field.name)
-                if isinstance(v1, np.ndarray):
-                    assert v1.shape == v2.shape
-                    assert (v1 == v2).all()
-                else:
-                    assert v1 == v2
+    assert len(drained.comparisons) == len(evented.comparisons) > 0
+    for c1, c2 in zip(drained.comparisons, evented.comparisons):
+        for field in dataclasses.fields(c1):
+            v1 = getattr(c1, field.name)
+            v2 = getattr(c2, field.name)
+            if isinstance(v1, np.ndarray):
+                assert v1.shape == v2.shape
+                assert (v1 == v2).all()
+            else:
+                assert v1 == v2
